@@ -33,12 +33,14 @@ bench:
 bench-full:
 	PIPECACHE_BENCH_INSTS=2000000 $(GO) test -bench=. -benchmem -benchtime=1x -run xxx .
 
-# Machine-readable simulator benchmark summary (archived by CI per commit).
-# The floor is the pre-lane-pack replay throughput: dipping below it means
-# the compiled-plan/lane-packed replay tier's gains have been lost entirely.
+# Machine-readable simulator benchmark summary (archived by CI per commit),
+# measured by TestBenchJSON through the same benchmark functions as
+# `go test -bench`. The floor is the pre-lane-pack replay throughput:
+# dipping below it means the compiled-plan/lane-packed replay tier's gains
+# have been lost entirely.
 REPLAY_FLOOR ?= 70000000
 bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_sim.json -replay-floor $(REPLAY_FLOOR)
+	$(GO) test -run '^TestBenchJSON$$' -benchtime 3s -timeout 30m -v . -args -benchjson BENCH_sim.json -replay-floor $(REPLAY_FLOOR)
 
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/isa/
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDesignRequest -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzParsePlan -fuzztime 30s ./internal/fault/
 	$(GO) test -fuzz FuzzSurfaceReader -fuzztime 30s ./internal/surface/
+	$(GO) test -fuzz FuzzReplayDifferential -fuzztime 30s ./internal/cpisim/
 
 # Chaos suite: the ablation cross-product and the HTTP service under seeded
 # deterministic fault schedules, race detector on (see DESIGN.md §12).

@@ -15,47 +15,61 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
-var (
-	benchOnce sync.Once
-	benchLab  *Lab
-	benchErr  error
-)
+// fixture memoizes one expensive benchmark setup for the life of the test
+// binary: go test -bench and testing.Benchmark call a benchmark function
+// several times while sizing b.N, and the setup must run once.
+type fixture[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
 
+func (f *fixture[T]) get(b *testing.B, build func() (T, error)) T {
+	b.Helper()
+	f.once.Do(func() { f.v, f.err = build() })
+	if f.err != nil {
+		b.Fatal(f.err)
+	}
+	return f.v
+}
+
+var paperLab fixture[*Lab]
+
+// lab is the prewarmed full-suite lab of the table, figure, and ablation
+// benchmarks.
 func lab(b *testing.B) *Lab {
 	b.Helper()
-	benchOnce.Do(func() {
+	return paperLab.get(b, func() (*Lab, error) {
 		insts := int64(300_000)
 		if s := os.Getenv("PIPECACHE_BENCH_INSTS"); s != "" {
 			v, err := strconv.ParseInt(s, 10, 64)
 			if err != nil {
-				benchErr = fmt.Errorf("bad PIPECACHE_BENCH_INSTS: %v", err)
-				return
+				return nil, fmt.Errorf("bad PIPECACHE_BENCH_INSTS: %v", err)
 			}
 			insts = v
 		}
 		suite, err := BuildSuite(Benchmarks())
 		if err != nil {
-			benchErr = err
-			return
+			return nil, err
 		}
 		p := DefaultParams()
 		p.Insts = insts
-		benchLab, benchErr = NewLab(suite, p)
-		if benchErr == nil {
-			benchErr = benchLab.Prewarm()
+		l, err := NewLab(suite, p)
+		if err != nil {
+			return nil, err
 		}
+		return l, l.Prewarm()
 	})
-	if benchErr != nil {
-		b.Fatal(benchErr)
-	}
-	return benchLab
 }
 
 // report prints the reproduced table/figure once per benchmark run.
@@ -303,64 +317,59 @@ func BenchmarkFigure13_TPILowPenalty(b *testing.B) {
 }
 
 // ---- Substrate microbenchmarks ----
+//
+// These and the serving benchmarks at the end of the file are the rows of
+// BENCH_sim.json (bench_json_test.go). Sub-benchmark variants are
+// parameterized helpers, so the JSON writer measures exactly the bodies
+// go test -bench runs.
 
-// BenchmarkSimulatorThroughput measures end-to-end simulated instructions
-// per second through the interpreter + caches + delay accounting.
-func BenchmarkSimulatorThroughput(b *testing.B) {
+// microInsts is the per-benchmark instruction budget of the substrate and
+// serving microbenchmarks (the "insts" field of BENCH_sim.json).
+const microInsts = 200_000
+
+// espressoSim is the substrate benchmarks' pass: espresso alone against
+// one 8 KW direct-mapped split L1 with two branch and two load slots.
+func espressoSim() (SimConfig, []Workload, error) {
 	spec, _ := LookupBenchmark("espresso")
 	prog, err := BuildProgram(spec, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := SimConfig{
 		BranchSlots: 2,
 		LoadSlots:   2,
 		ICaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
 		DCaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
 	}
-	b.ResetTimer()
-	var insts int64
-	for i := 0; i < b.N; i++ {
-		sim, err := NewSim(cfg, []Workload{{Prog: prog, Seed: spec.Seed, Weight: 1}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run(200_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts += res.Benches[0].Insts
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+	return cfg, []Workload{{Prog: prog, Seed: spec.Seed, Weight: 1}}, err
 }
+
+// BenchmarkSimulatorThroughput measures end-to-end simulated instructions
+// per second through the interpreter + caches + delay accounting.
+func BenchmarkSimulatorThroughput(b *testing.B) { benchLivePass(b, nil) }
 
 // BenchmarkSimInstrumented is BenchmarkSimulatorThroughput with a metrics
 // registry attached: the delta between the two insts/s figures is the cost
 // of observability. The hot loop keeps its plain per-pass stats structs and
 // folds them into the registry once at the end of Run, so the delta should
 // be in the noise (see TestInstrumentationOverhead).
-func BenchmarkSimInstrumented(b *testing.B) {
-	spec, _ := LookupBenchmark("espresso")
-	prog, err := BuildProgram(spec, 0)
+func BenchmarkSimInstrumented(b *testing.B) { benchLivePass(b, NewRegistry()) }
+
+// benchLivePass runs one live espresso pass per iteration, publishing into
+// reg when it is non-nil.
+func benchLivePass(b *testing.B, reg *Registry) {
+	cfg, ws, err := espressoSim()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := SimConfig{
-		BranchSlots: 2,
-		LoadSlots:   2,
-		ICaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
-		DCaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
-	}
-	reg := NewRegistry()
 	b.ResetTimer()
 	var insts int64
 	for i := 0; i < b.N; i++ {
-		sim, err := NewSim(cfg, []Workload{{Prog: prog, Seed: spec.Seed, Weight: 1}})
+		sim, err := NewSim(cfg, ws)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.SetObs(reg)
-		res, err := sim.Run(200_000)
+		if reg != nil {
+			sim.SetObs(reg)
+		}
+		res, err := sim.Run(microInsts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -369,67 +378,49 @@ func BenchmarkSimInstrumented(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }
 
-// replayFixture captures one 200k-instruction espresso event trace,
-// shared by the replay benchmarks below.
-var (
-	replayFixOnce sync.Once
-	replayFixCfg  SimConfig
-	replayFixWs   []Workload
-	replayFixTr   *EventTrace
-	replayFixErr  error
-)
-
-const replayFixInsts = 200_000
-
-func replayFixture(b *testing.B) (SimConfig, []Workload, *EventTrace) {
-	b.Helper()
-	replayFixOnce.Do(func() {
-		spec, _ := LookupBenchmark("espresso")
-		prog, err := BuildProgram(spec, 0)
-		if err != nil {
-			replayFixErr = err
-			return
-		}
-		replayFixCfg = SimConfig{
-			BranchSlots: 2,
-			LoadSlots:   2,
-			ICaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
-			DCaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
-		}
-		replayFixWs = []Workload{{Prog: prog, Seed: spec.Seed, Weight: 1}}
-		capSim, err := NewSim(replayFixCfg, replayFixWs)
-		if err != nil {
-			replayFixErr = err
-			return
-		}
-		rec := NewEventRecorder("bench", replayFixInsts)
-		capSim.SetCapture(rec)
-		if _, err := capSim.Run(replayFixInsts); err != nil {
-			replayFixErr = err
-			return
-		}
-		replayFixTr = rec.Finish()
-	})
-	if replayFixErr != nil {
-		b.Fatal(replayFixErr)
-	}
-	return replayFixCfg, replayFixWs, replayFixTr
+// replayRig is one captured espresso event trace, shared by the replay
+// benchmarks (and so one set of compiled chunk plans).
+type replayRig struct {
+	cfg SimConfig
+	ws  []Workload
+	tr  *EventTrace
 }
 
-// BenchmarkTraceReplay measures the sequential replay kernel: one full
-// espresso pass per iteration over a pre-captured event trace, through
-// the compiled chunk plans and the lane-packed banks. The insts/s metric
-// is the headline replay throughput (compare BENCH_sim.json).
-func BenchmarkTraceReplay(b *testing.B) {
-	cfg, ws, tr := replayFixture(b)
+var replayFix fixture[replayRig]
+
+// benchReplay replays the captured trace once per iteration: workers == 0
+// through the sequential Replay, otherwise through the sharded single-pass
+// tier at that worker count.
+func benchReplay(b *testing.B, workers int) {
+	rig := replayFix.get(b, func() (replayRig, error) {
+		cfg, ws, err := espressoSim()
+		if err != nil {
+			return replayRig{}, err
+		}
+		capSim, err := NewSim(cfg, ws)
+		if err != nil {
+			return replayRig{}, err
+		}
+		rec := NewEventRecorder("bench", microInsts)
+		capSim.SetCapture(rec)
+		if _, err := capSim.Run(microInsts); err != nil {
+			return replayRig{}, err
+		}
+		return replayRig{cfg, ws, rec.Finish()}, nil
+	})
 	b.ResetTimer()
 	var total int64
 	for i := 0; i < b.N; i++ {
-		sim, err := NewSim(cfg, ws)
+		sim, err := NewSim(rig.cfg, rig.ws)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.Replay(replayFixInsts, tr)
+		var res *SimResult
+		if workers == 0 {
+			res, err = sim.Replay(microInsts, rig.tr)
+		} else {
+			res, err = sim.ReplaySharded(microInsts, rig.tr, workers)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -439,30 +430,20 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
 }
 
+// BenchmarkTraceReplay measures the sequential replay kernel: one full
+// espresso pass per iteration over a pre-captured event trace, through
+// the compiled chunk plans and the lane-packed banks. The insts/s metric
+// is the headline replay throughput (compare BENCH_sim.json).
+func BenchmarkTraceReplay(b *testing.B) { benchReplay(b, 0) }
+
 // BenchmarkShardedReplay replays the same trace through the sharded
 // single-pass tier at several worker counts. Results are bit-identical
 // to BenchmarkTraceReplay at every count (see the differential tests in
 // internal/cpisim); the wall-clock split across workers only appears
 // when GOMAXPROCS grants the shards real cores.
 func BenchmarkShardedReplay(b *testing.B) {
-	cfg, ws, tr := replayFixture(b)
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var total int64
-			for i := 0; i < b.N; i++ {
-				sim, err := NewSim(cfg, ws)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.ReplaySharded(replayFixInsts, tr, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.Benches[0].Insts
-				sim.Release()
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
-		})
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchReplay(b, workers) })
 	}
 }
 
@@ -477,16 +458,20 @@ func BenchmarkCacheAccess(b *testing.B) {
 		{"2way", 2},
 		{"4way", 4},
 	} {
-		b.Run(v.name, func(b *testing.B) {
-			c, err := NewCache(CacheConfig{SizeKW: 8, BlockWords: 4, Assoc: v.assoc, WriteBack: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Access(uint32(i*7)&0xfffff, i&7 == 0)
-			}
-		})
+		b.Run(v.name, func(b *testing.B) { benchCacheAccess(b, v.assoc) })
+	}
+}
+
+// benchCacheAccess probes one 8 KW write-back cache of the given
+// associativity with a strided, one-in-eight-writes address stream.
+func benchCacheAccess(b *testing.B, assoc int) {
+	c, err := NewCache(CacheConfig{SizeKW: 8, BlockWords: 4, Assoc: assoc, WriteBack: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(uint32(i*7)&0xfffff, i&7 == 0)
 	}
 }
 
@@ -622,9 +607,22 @@ func BenchmarkAblation_WritePolicy(b *testing.B) {
 	}
 }
 
+// BenchmarkPolicyStudy runs the replacement-policy ablation end to end on
+// a fresh gcc+yacc lab per iteration — memos cold every time — so it
+// prices the per-policy bank construction plus the FIFO and Tree-PLRU
+// probe kernels on the set-associative study workload, next to the LRU
+// pass they must not slow down.
 func BenchmarkPolicyStudy(b *testing.B) {
-	l := lab(b)
+	suite := smallSuite(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		p := microParams()
+		p.TraceBudgetBytes = -1
+		l, err := NewLab(suite, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l.SetObs(NewRegistry())
 		r, err := l.PolicyStudy(4, 2)
 		if err != nil {
 			b.Fatal(err)
@@ -719,31 +717,66 @@ func BenchmarkAsymmetricSplits(b *testing.B) {
 	}
 }
 
+// ---- Serving and end-to-end microbenchmarks (gcc+yacc at microInsts) ----
+
+var smallSuiteFix fixture[*Suite]
+
+// smallSuite is the two-benchmark suite of the serving and study
+// microbenchmarks; programs are immutable, so every lab shares it.
+func smallSuite(b *testing.B) *Suite {
+	b.Helper()
+	return smallSuiteFix.get(b, func() (*Suite, error) {
+		var specs []Spec
+		for _, name := range []string{"gcc", "yacc"} {
+			s, ok := LookupBenchmark(name)
+			if !ok {
+				return nil, fmt.Errorf("benchmark %s missing", name)
+			}
+			specs = append(specs, s)
+		}
+		return BuildSuite(specs)
+	})
+}
+
+func microParams() Params {
+	p := DefaultParams()
+	p.Insts = microInsts
+	return p
+}
+
+var surfaceFix fixture[http.Handler]
+
 // BenchmarkSurfaceLookup measures one /v1/simulate answer served from a
 // baked surface, end to end through the HTTP handler (decode, index,
 // marshal, ETag). Compare against BenchmarkSimulatorThroughput: the baked
 // path replaces a full simulation pass with an index-and-read, so it should
 // be several orders of magnitude cheaper per request.
 func BenchmarkSurfaceLookup(b *testing.B) {
-	l := lab(b)
-	d, err := BakeSurface(context.Background(), l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc, err := EncodeSurface(d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sf, err := DecodeSurface(enc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := NewServer(l, ServerConfig{Surface: sf, AccessLog: io.Discard})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	h := srv.Handler()
+	suite := smallSuite(b)
+	h := surfaceFix.get(b, func() (http.Handler, error) {
+		l, err := NewLab(suite, microParams())
+		if err != nil {
+			return nil, err
+		}
+		l.SetObs(NewRegistry())
+		d, err := BakeSurface(context.Background(), l)
+		if err != nil {
+			return nil, err
+		}
+		enc, err := EncodeSurface(d)
+		if err != nil {
+			return nil, err
+		}
+		sf, err := DecodeSurface(enc)
+		if err != nil {
+			return nil, err
+		}
+		srv, err := NewServer(l, ServerConfig{Surface: sf, AccessLog: io.Discard})
+		if err != nil {
+			return nil, err
+		}
+		return srv.Handler(), nil
+	})
 	body := []byte(`{"b":2,"l":2,"isize_kw":8,"dsize_kw":8}`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -752,6 +785,152 @@ func BenchmarkSurfaceLookup(b *testing.B) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != 200 {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkAblationSuite runs the extension studies end to end on a fresh
+// lab per iteration — result memos cold every time — so the live/replay
+// pair measures the trace tier's wall-time win on the real ablation
+// workload. The replay variant shares one bounded event-trace store across
+// iterations, the way the stability study and a long-running server do:
+// the tier's design point is capture once, replay many, so its steady
+// state is a warm store (capture and plan compilation run once during
+// setup, outside the measured window).
+func BenchmarkAblationSuite(b *testing.B) {
+	b.Run("live", func(b *testing.B) { benchAblationSuite(b, false) })
+	b.Run("replay", func(b *testing.B) { benchAblationSuite(b, true) })
+}
+
+var ablationStoreFix fixture[*EventStore]
+
+func benchAblationSuite(b *testing.B, replay bool) {
+	suite := smallSuite(b)
+	var store *EventStore
+	if replay {
+		store = ablationStoreFix.get(b, func() (*EventStore, error) {
+			s := NewEventStore(256 << 20)
+			return s, ablationPass(suite, s)
+		})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ablationPass(suite, store); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ablationPass runs the extension studies once on a fresh lab whose only
+// trace store is store (nil: every pass live).
+func ablationPass(suite *Suite, store *EventStore) error {
+	p := microParams()
+	p.TraceBudgetBytes = -1
+	l, err := NewLab(suite, p)
+	if err != nil {
+		return err
+	}
+	l.SetTraceStore(store)
+	l.SetObs(NewRegistry())
+	if err := l.Prewarm(); err != nil {
+		return err
+	}
+	if _, err := l.AssocStudy(8); err != nil {
+		return err
+	}
+	if _, err := l.BlockSizeStudy(8); err != nil {
+		return err
+	}
+	if _, err := l.WritePolicyStudy(10); err != nil {
+		return err
+	}
+	if _, err := l.BTBSizeStudy([]int{64, 256, 1024}); err != nil {
+		return err
+	}
+	if _, err := l.ProfileStudy(); err != nil {
+		return err
+	}
+	_, err = l.QuantumStudy(8, 10, []int64{2_000, 20_000, 100_000})
+	return err
+}
+
+// BenchmarkCoordinatorFanout measures a coordinator fanning /v1/best over
+// 1, 2, and 4 in-process backend shards. Each iteration asks for a fresh
+// l2_time_ns, which misses every result cache on the path; the simulation
+// passes themselves are l2-independent and prewarmed during setup, so the
+// measured op is the distributed sub-range sweep — fan-out, per-point
+// recompute on each shard, canonical-order merge. The shards share this
+// host's GOMAXPROCS: with cores to spare the ladder shows the sweep
+// splitting across the fleet, and at GOMAXPROCS=1 it isolates the
+// coordinator's pure fan-out overhead (read it against the gomaxprocs of
+// BENCH_sim.json).
+func BenchmarkCoordinatorFanout(b *testing.B) {
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchCoordinatorFanout(b, shards) })
+	}
+}
+
+// fanoutRig is one coordinator over its backend shards. The shard
+// servers live as long as the test binary. seq outlives each benchmark
+// call, so re-runs at a larger b.N never repeat an l2_time_ns and sneak a
+// coordinator cache hit into the timings.
+type fanoutRig struct {
+	h   http.Handler
+	seq int64
+}
+
+func (r *fanoutRig) post(body string) (int, string) {
+	req := httptest.NewRequest("POST", "/v1/best", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	r.h.ServeHTTP(rec, req)
+	return rec.Code, rec.Body.String()
+}
+
+var fanoutFix sync.Map // shard count -> *fixture[*fanoutRig]
+
+func benchCoordinatorFanout(b *testing.B, shards int) {
+	suite := smallSuite(b)
+	fx, _ := fanoutFix.LoadOrStore(shards, new(fixture[*fanoutRig]))
+	rig := fx.(*fixture[*fanoutRig]).get(b, func() (*fanoutRig, error) {
+		p := microParams()
+		var urls []string
+		for i := 0; i < shards; i++ {
+			l, err := NewLab(suite, p)
+			if err != nil {
+				return nil, err
+			}
+			l.SetObs(NewRegistry())
+			srv, err := NewServer(l, ServerConfig{AccessLog: io.Discard})
+			if err != nil {
+				return nil, err
+			}
+			urls = append(urls, httptest.NewServer(srv.Handler()).URL)
+		}
+		coord, err := NewCoordinator(CoordinatorConfig{
+			Shards:    urls,
+			Params:    p,
+			AccessLog: io.Discard,
+			// A hedge firing mid-iteration would double a shard's work and
+			// measure the policy, not the fan-out.
+			HedgeAfter: time.Minute,
+		})
+		if err != nil {
+			return nil, err
+		}
+		rig := &fanoutRig{h: coord.Handler()}
+		// The first full-space fan-out warms every (b, scheme) pass each
+		// shard's deterministic sub-range needs.
+		if code, body := rig.post(`{"loads":"dynamic","l2_time_ns":34.5}`); code != 200 {
+			return nil, fmt.Errorf("coordinator warmup (%d shards): status %d: %s", shards, code, body)
+		}
+		return rig, nil
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rig.seq++
+		body := fmt.Sprintf(`{"loads":"dynamic","l2_time_ns":%.6f}`, 35+float64(rig.seq)*1e-6)
+		if code, rb := rig.post(body); code != 200 {
+			b.Fatalf("status %d: %s", code, rb)
 		}
 	}
 }

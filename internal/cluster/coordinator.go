@@ -241,13 +241,16 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 func (c *Coordinator) routes() {
-	c.mux.Handle("POST /v1/simulate", c.instrument("simulate", c.handleSimulate))
-	c.mux.Handle("POST /v1/best", c.instrument("best", c.handleBest))
-	c.mux.Handle("POST /v1/sweep-range", c.instrument("sweep_range", c.handleSweepRange))
-	c.mux.Handle("GET /v1/figures/{n}", c.instrument("figures", c.handleFigure))
-	c.mux.Handle("GET /v1/tables/{n}", c.instrument("tables", c.handleTable))
-	c.mux.Handle("GET /healthz", c.instrument("healthz", c.handleHealthz))
-	c.mux.Handle("GET /metrics", c.instrument("metrics", c.handleMetrics))
+	// The backend's middleware under the "cluster" prefix, with no
+	// whole-request deadline: Config.RequestTimeout bounds each shard call.
+	wrap := server.Instrument("cluster", c.reg, c.log, 0)
+	c.mux.Handle("POST /v1/simulate", wrap("simulate", c.handleSimulate))
+	c.mux.Handle("POST /v1/best", wrap("best", c.handleBest))
+	c.mux.Handle("POST /v1/sweep-range", wrap("sweep_range", c.handleSweepRange))
+	c.mux.Handle("GET /v1/figures/{n}", wrap("figures", c.handleFigure))
+	c.mux.Handle("GET /v1/tables/{n}", wrap("tables", c.handleTable))
+	c.mux.Handle("GET /healthz", wrap("healthz", c.handleHealthz))
+	c.mux.Handle("GET /metrics", wrap("metrics", c.handleMetrics))
 }
 
 // Registry returns the coordinator's metric registry.
@@ -262,57 +265,6 @@ func (c *Coordinator) Close() { c.client.CloseIdleConnections() }
 // Shards returns the fleet's shard handles (index order); tests use it to
 // inspect health transitions.
 func (c *Coordinator) Shards() []*Shard { return c.shards }
-
-// instrument wraps one endpoint with request counting, latency, panic
-// recovery, and access logging — the coordinator-side mirror of the
-// backend middleware.
-func (c *Coordinator) instrument(name string, h http.HandlerFunc) http.Handler {
-	reqs := c.reg.Counter("cluster.req." + name)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqs.Inc()
-		c.reg.Counter("cluster.requests").Inc()
-		stop := c.reg.Time("cluster.latency_seconds." + name)
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			if p := recover(); p != nil {
-				c.reg.Counter("cluster.panics").Inc()
-				c.log.Printf("panic in %s %s: %v", r.Method, r.URL.Path, p)
-				if sw.code == 0 {
-					http.Error(sw, "internal error", http.StatusInternalServerError)
-				}
-			}
-			stop()
-			code := sw.code
-			if code == 0 {
-				code = http.StatusOK
-			}
-			c.reg.Counter(fmt.Sprintf("cluster.status.%dxx", code/100)).Inc()
-			c.log.Printf("%s %s %d %dB %s", r.Method, r.URL.Path, code, sw.bytes, time.Since(start).Round(time.Microsecond))
-		}()
-		h(sw, r)
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += n
-	return n, err
-}
 
 // ListenAndServe serves on the configured address until ctx is cancelled,
 // probing the fleet once up front and then every ProbeInterval.

@@ -4,38 +4,29 @@ import (
 	"math/bits"
 	"sync"
 
-	"pipecache/internal/interp"
 	"pipecache/internal/program"
 	"pipecache/internal/sched"
 )
 
-// The specialized replay column loop. The generic EventColumns dispatch
-// pays for flexibility it rarely needs: under the static branch scheme
-// with no BTB and no second level — the shape of every ladder sweep —
-// each event's handler touches only the translation, the two L1 banks,
-// and a handful of BenchResult counters. fastColumns specializes exactly
-// that shape: per-block CTI consequences are precomputed into a ctiMeta
-// table (wasted slots, delay-slot skip, squash fetch) so the CTI handler
-// is a table lookup, and the per-event counters accumulate in locals that
-// are folded into the BenchResult once per batch instead of read-modified
-// -written per event. The arithmetic is identical to the generic
-// handlers, so live runs, generic replays, and fast replays produce
+// Per-block static-scheme metadata for the compiled replay plans
+// (plan.go). Under the static branch scheme with no BTB and no second
+// level — the shape of every ladder sweep — a block's CTI consequences
+// (wasted slots, delay-slot skip, squash fetch) are a pure function of
+// the translation, so they are tabulated once per translation identity
+// and read by buildChunkPlan as table lookups. Plans reproduce the
+// generic handlers' arithmetic exactly, so live runs and replays produce
 // bit-identical results.
 
-// blockMeta is the per-block working set of the specialized loop: the
-// translated fetch geometry plus the precomputed consequence of the
-// block's CTI under the static scheme (zero for blocks without a CTI,
-// which never emit CTI events). Fetch and CTI data share one 32-byte
-// entry deliberately — a CTI event always follows its own block's Block
-// event closely, so the entry the Block case pulled into cache is still
-// resident when the CTI case reads it, where separate tables would take
-// two random-access misses per block.
-// Entries are squeezed to 16 bytes — four per cache line — because the
-// table is indexed by block id in trace order, an effectively random
-// pattern whose misses the loop eats once per block: the narrow fields
-// (lengths, slot counts, and skips are bounded by the translation's
-// block-length cap, far below 16 bits) halve the footprint that competes
-// with the cache tables and the streamed columns.
+// blockMeta is one block's entry: the translated fetch geometry plus the
+// precomputed consequence of the block's CTI under the static scheme
+// (zero for blocks without a CTI, which never emit CTI events). Fetch and
+// CTI data share one entry deliberately — a CTI event always follows its
+// own block's Block event closely, so the entry the Block case pulled
+// into cache is still resident when the CTI case reads it. Entries are
+// squeezed to 16 bytes — four per cache line — because the table is
+// indexed by block id in trace order, an effectively random pattern: the
+// narrow fields (lengths, slot counts, and skips are bounded by the
+// translation's block-length cap, far below 16 bits) halve the footprint.
 type blockMeta struct {
 	newAddr     uint32 // translated fetch address (Translation.NewAddr)
 	squashAddr  uint32 // fall-through fetch address on a taken mispredict
@@ -76,7 +67,7 @@ func cachedBlockMeta(prog *program.Program, xlat *sched.Translation, slots int, 
 }
 
 // blockMetaFits reports whether every translated block length fits the
-// compact table's 16-bit field; the delay-slot counts are bounded by the
+// table's 16-bit field; the delay-slot counts are bounded by the
 // validated slot budget and always fit. Oversized translations (not
 // produced by any current workload) fall back to the generic dispatch.
 func blockMetaFits(xlat *sched.Translation) bool {
@@ -121,15 +112,15 @@ func buildBlockMeta(prog *program.Program, xlat *sched.Translation) []blockMeta 
 	return ms
 }
 
-// fastSinkOK reports whether the specialized column loop covers this
+// plannable reports whether compiled chunk plans cover this
 // configuration: the static branch scheme (no deferred BTB resolution)
 // and no second level (no L1-miss forwarding).
-func (s *Sim) fastSinkOK() bool {
+func (s *Sim) plannable() bool {
 	return s.cfg.BranchScheme == BranchStatic && s.btb == nil && s.l2bank == nil
 }
 
-// dMisses books the missing configurations of one D-cache probe; the
-// slow half of the fast loop's memory case, identical to mem's.
+// dMisses books the missing configurations of one D-cache probe of a
+// planned chunk, identically to mem's miss half.
 func (h *benchSink) dMisses(addr uint32, miss uint64, isStore bool) {
 	b := h.b
 	for m := miss; m != 0; m &= m - 1 {
@@ -142,299 +133,5 @@ func (h *benchSink) dMisses(addr uint32, miss uint64, isStore bool) {
 		if ci == h.s.cfg.L2.DIndex {
 			h.accessL2(addr, isStore)
 		}
-	}
-}
-
-// fastColumns is the specialized replay dispatch (see the package comment
-// above). Counters accumulate in locals and fold into the BenchResult
-// once per batch; the delay-slot skip is carried in a local and written
-// back so state persists across batch boundaries exactly as the generic
-// path's field updates would.
-func (h *benchSink) fastColumns(kinds []uint8, as, bvals []uint32) {
-	as = as[:len(kinds)]
-	bvals = bvals[:len(kinds)]
-	b := h.b
-	res := &b.res
-	metas := b.ctis
-	ib, db := h.s.ibank, h.s.dbank
-	var probe, probeM uint32
-	if ib != nil {
-		probe = ib.ProbeWords()
-		probeM = probe - 1
-	}
-	loadSlots := h.s.cfg.LoadSlots
-	dynamic := h.s.cfg.LoadScheme == LoadDynamic
-	skip := b.skip
-	var insts, ifetches, branchStall int64
-	var dreads, dwrites, loads, loadUses, loadStall, ctis int64
-	var predT, predTR, predNT, predNTR int64
-
-	for i := range kinds {
-		switch interp.EventKind(kinds[i]) {
-		case interp.EvBlock:
-			x := &metas[as[i]]
-			addr := x.newAddr
-			n := int(x.newLen)
-			if skip != 0 {
-				if pad := skip - n; pad > 0 {
-					branchStall += int64(pad)
-				}
-				if skip >= n {
-					n = 0
-				} else {
-					addr += uint32(skip)
-					n -= skip
-				}
-				skip = 0
-			}
-			ifetches += int64(n)
-			if ib != nil {
-				for n > 0 {
-					run := int(probe - addr&probeM)
-					if run > n {
-						run = n
-					}
-					if miss := ib.AccessRange(addr, run); miss != 0 {
-						h.iMisses(addr, miss)
-					}
-					addr += uint32(run)
-					n -= run
-				}
-			}
-			insts += int64(bvals[i])
-		case interp.EvLoadUse:
-			loadUses++
-			res.Eps.Add(int(as[i]))
-			res.EpsBlock.Add(int(bvals[i]))
-			if loadSlots != 0 {
-				hidden := int(bvals[i])
-				if dynamic {
-					hidden = int(as[i])
-				}
-				if hidden < loadSlots {
-					loadStall += int64(loadSlots - hidden)
-				}
-			}
-		case interp.EvMemLoad:
-			dreads++
-			loads++
-			if db != nil {
-				if miss := db.Access(as[i], false); miss != 0 {
-					h.dMisses(as[i], miss, false)
-				}
-			}
-		case interp.EvMemStore:
-			dwrites++
-			if db != nil {
-				if miss := db.Access(as[i], true); miss != 0 {
-					h.dMisses(as[i], miss, true)
-				}
-			}
-		case interp.EvCTITaken:
-			m := &metas[as[i]]
-			ctis++
-			if m.predTaken {
-				predT++
-				predTR++
-				branchStall += int64(m.wastedTaken) // indirect-jump noops
-				skip = int(m.skip)
-			} else {
-				predNT++
-				branchStall += int64(m.wastedTaken) // squashed sequential slots
-				if m.squashN > 0 {
-					// The squashed slots were fetched from the fall-through
-					// block before control transferred.
-					ifetches += int64(m.squashN)
-					if ib != nil {
-						addr := m.squashAddr
-						n := int(m.squashN)
-						for n > 0 {
-							run := int(probe - addr&probeM)
-							if run > n {
-								run = n
-							}
-							if miss := ib.AccessRange(addr, run); miss != 0 {
-								h.iMisses(addr, miss)
-							}
-							addr += uint32(run)
-							n -= run
-						}
-					}
-				}
-			}
-		case interp.EvCTINotTaken:
-			m := &metas[as[i]]
-			ctis++
-			if m.predTaken {
-				predT++
-			} else {
-				predNT++
-				predNTR++
-			}
-			branchStall += int64(m.wastedNT)
-		}
-	}
-
-	b.skip = skip
-	res.Insts += insts
-	res.IFetches += ifetches
-	res.BranchStall += branchStall
-	res.DReads += dreads
-	res.DWrites += dwrites
-	res.Loads += loads
-	res.LoadUses += loadUses
-	res.LoadStall += loadStall
-	res.CTIs += ctis
-	res.PredTaken += predT
-	res.PredTakenRight += predTR
-	res.PredNotTaken += predNT
-	res.PredNotTakenRight += predNTR
-}
-
-// directColumns is fastColumns further specialized for single-
-// configuration banks: every probe goes through an inlined cache.Direct
-// hit path (one shift, one masked load, one compare) instead of a call
-// into the bank kernel. Unlike fastColumns, most counters update the
-// BenchResult in place: with the probe geometry and the event columns
-// already claiming most registers, a full set of counter locals pushes
-// the loop's own state (the index, the skip, the column bases) into
-// spill slots, which costs more per event than the in-place stores do.
-// Only the hottest counters (insts, fetches, the delay-slot skip) stay
-// in locals. Bank-level access counts are folded in through AddAccesses
-// at batch end, derived from the fetch total and the BenchResult deltas;
-// they equal the probe counts by construction (every counted fetch word
-// and data reference is probed).
-func (h *benchSink) directColumns(kinds []uint8, as, bvals []uint32) {
-	as = as[:len(kinds)]
-	bvals = bvals[:len(kinds)]
-	b := h.b
-	res := &b.res
-	metas := b.ctis
-	ibd, dbd := h.s.ibd, h.s.dbd
-	var probe, probeM uint32
-	if ibd != nil {
-		probe = h.s.ibank.ProbeWords()
-		probeM = probe - 1
-	}
-	loadSlots := h.s.cfg.LoadSlots
-	dynamic := h.s.cfg.LoadScheme == LoadDynamic
-	startDReads, startDWrites := res.DReads, res.DWrites
-	skip := b.skip
-	var insts, ifetches int64
-
-	for i := range kinds {
-		switch interp.EventKind(kinds[i]) {
-		case interp.EvBlock:
-			x := &metas[as[i]]
-			addr := x.newAddr
-			n := int(x.newLen)
-			if skip != 0 {
-				if pad := skip - n; pad > 0 {
-					res.BranchStall += int64(pad)
-				}
-				if skip >= n {
-					n = 0
-				} else {
-					addr += uint32(skip)
-					n -= skip
-				}
-				skip = 0
-			}
-			ifetches += int64(n)
-			if ibd != nil {
-				for n > 0 {
-					run := int(probe - addr&probeM)
-					if run > n {
-						run = n
-					}
-					if !ibd.ReadHit(addr) {
-						ibd.ReadMiss(addr)
-						res.IMisses[0]++
-					}
-					addr += uint32(run)
-					n -= run
-				}
-			}
-			insts += int64(bvals[i])
-		case interp.EvLoadUse:
-			res.LoadUses++
-			res.Eps.Add(int(as[i]))
-			res.EpsBlock.Add(int(bvals[i]))
-			if loadSlots != 0 {
-				hidden := int(bvals[i])
-				if dynamic {
-					hidden = int(as[i])
-				}
-				if hidden < loadSlots {
-					res.LoadStall += int64(loadSlots - hidden)
-				}
-			}
-		case interp.EvMemLoad:
-			res.DReads++
-			res.Loads++
-			if dbd != nil && !dbd.ReadHit(as[i]) {
-				dbd.ReadMiss(as[i])
-				res.DReadMisses[0]++
-			}
-		case interp.EvMemStore:
-			res.DWrites++
-			if dbd != nil && !dbd.WriteHit(as[i]) {
-				dbd.WriteMiss(as[i])
-				res.DWriteMisses[0]++
-			}
-		case interp.EvCTITaken:
-			m := &metas[as[i]]
-			res.CTIs++
-			if m.predTaken {
-				res.PredTaken++
-				res.PredTakenRight++
-				res.BranchStall += int64(m.wastedTaken) // indirect-jump noops
-				skip = int(m.skip)
-			} else {
-				res.PredNotTaken++
-				res.BranchStall += int64(m.wastedTaken) // squashed sequential slots
-				if m.squashN > 0 {
-					// The squashed slots were fetched from the fall-through
-					// block before control transferred.
-					ifetches += int64(m.squashN)
-					if ibd != nil {
-						addr := m.squashAddr
-						n := int(m.squashN)
-						for n > 0 {
-							run := int(probe - addr&probeM)
-							if run > n {
-								run = n
-							}
-							if !ibd.ReadHit(addr) {
-								ibd.ReadMiss(addr)
-								res.IMisses[0]++
-							}
-							addr += uint32(run)
-							n -= run
-						}
-					}
-				}
-			}
-		case interp.EvCTINotTaken:
-			m := &metas[as[i]]
-			res.CTIs++
-			if m.predTaken {
-				res.PredTaken++
-			} else {
-				res.PredNotTaken++
-				res.PredNotTakenRight++
-			}
-			res.BranchStall += int64(m.wastedNT)
-		}
-	}
-
-	b.skip = skip
-	res.Insts += insts
-	res.IFetches += ifetches
-	if ibd != nil {
-		ibd.AddAccesses(uint64(ifetches), 0)
-	}
-	if dbd != nil {
-		dbd.AddAccesses(uint64(res.DReads-startDReads), uint64(res.DWrites-startDWrites))
 	}
 }

@@ -94,7 +94,7 @@ func (p *chunkPlan) loadStall(l int, dynamic bool) int64 {
 
 // buildChunkPlan decodes one delivered column slice against the block
 // table, starting from the carried delay-slot skip. The arithmetic is the
-// per-event fast path's, reordered into plan form.
+// generic per-event handlers', reordered into plan form.
 func buildChunkPlan(metas []blockMeta, kinds []uint8, as, bvals []uint32, skipIn int) *chunkPlan {
 	p := &chunkPlan{
 		eps:      stats.NewHist(epsBins),
@@ -187,9 +187,9 @@ func (h *benchSink) planFor(aux *sync.Map, kinds []uint8, as, bvals []uint32) *c
 }
 
 // applyPlan books one compiled chunk: counter additions, histogram
-// merges, the load-stall weighting, and the two probe streams. The
-// probe halves mirror directColumns (single-configuration views) and
-// fastColumns (full bank kernels) respectively.
+// merges, the load-stall weighting, and the two probe streams, through
+// the single-configuration views when every bank has one and through
+// the full bank kernels otherwise.
 func (h *benchSink) applyPlan(p *chunkPlan) {
 	b := h.b
 	res := &b.res

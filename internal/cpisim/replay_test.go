@@ -11,7 +11,7 @@ import (
 
 // replayWorkloads builds a two-benchmark multiprogrammed set so replay
 // exercises the round-robin re-interleaving, not just a single stream.
-func replayWorkloads(t *testing.T) []Workload {
+func replayWorkloads(t testing.TB) []Workload {
 	t.Helper()
 	p1 := tinyLoop(t, 0.9)
 	p2 := tinyLoop(t, 0.3)

@@ -73,11 +73,11 @@ func pendingSkip(c *trace.Cursor, metas []blockMeta) int {
 }
 
 // shardableReplay reports whether this configuration can replay sharded:
-// the specialized column loop must cover it (static scheme, no BTB, no
-// L2, compact block tables) and every bank must be lane-packed
+// compiled chunk plans must cover it (static scheme, no BTB, no L2,
+// compact block tables) and every bank must be lane-packed
 // (direct-mapped), the shape boundary mode supports.
 func (s *Sim) shardableReplay() bool {
-	if !s.fastSinkOK() {
+	if !s.plannable() {
 		return false
 	}
 	for _, b := range s.benches {

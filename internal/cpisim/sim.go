@@ -47,9 +47,9 @@ type Sim struct {
 	evbuf   []interp.Event
 	obs     *obs.Registry
 
-	// Call-free single-configuration probe views (fast.go); non-nil only
-	// when the corresponding bank is a single direct-mapped configuration.
-	// direct gates the fully inlined replay loop: every configured bank
+	// Call-free single-configuration probe views; non-nil only when the
+	// corresponding bank is a single direct-mapped configuration. direct
+	// gates the inlined plan probe loop (plan.go): every configured bank
 	// must have a view.
 	ibd, dbd *cache.Direct
 	direct   bool
@@ -77,9 +77,9 @@ type benchState struct {
 	drive interp.EventSink
 	skip  int // delay-slot instructions already executed for the next block
 
-	// ctis is the precomputed static-scheme CTI table driving the
-	// specialized replay loop (fast.go); nil when the configuration needs
-	// the generic dispatch.
+	// ctis is the precomputed static-scheme CTI table the compiled replay
+	// plans decode against (fast.go, plan.go); nil when the configuration
+	// needs the generic dispatch.
 	ctis []blockMeta
 
 	// Deferred BTB resolution: the target address of a taken CTI is the
@@ -164,7 +164,7 @@ func New(cfg Config, ws []Workload) (*Sim, error) {
 		}
 		s.benches = append(s.benches, bs)
 	}
-	if s.fastSinkOK() {
+	if s.plannable() {
 		for _, bs := range s.benches {
 			if blockMetaFits(bs.xlat) {
 				bs.ctis = cachedBlockMeta(bs.prog, bs.xlat, bs.slots, bs.prof)
@@ -294,21 +294,16 @@ func (h *benchSink) Events(evs []interp.Event) {
 }
 
 // EventColumns consumes one batch in columnar form — the zero-copy replay
-// fast path (interp.ColumnSink): trace chunks are stored as parallel
+// path (interp.ColumnSink): trace chunks are stored as parallel
 // kind/A/B arrays, and this dispatch reads them in place instead of
-// materializing Event records. The switch bodies are identical to Events,
-// so live and replayed streams drive exactly the same state transitions.
+// materializing Event records. A replay of a configuration with CTI
+// tables (static scheme, no BTB, no L2) books each delivery through the
+// chunk's compiled plan (plan.go); every other configuration takes the
+// column loop below, whose switch bodies are identical to Events, so live
+// and replayed streams drive exactly the same state transitions.
 func (h *benchSink) EventColumns(kinds []uint8, as, bs []uint32) {
-	if h.b.ctis != nil {
-		if aux := h.s.replayAux; aux != nil && len(kinds) > 0 {
-			h.applyPlan(h.planFor(aux, kinds, as, bs))
-			return
-		}
-		if h.s.direct {
-			h.directColumns(kinds, as, bs)
-		} else {
-			h.fastColumns(kinds, as, bs)
-		}
+	if aux := h.s.replayAux; aux != nil && h.b.ctis != nil && len(kinds) > 0 {
+		h.applyPlan(h.planFor(aux, kinds, as, bs))
 		return
 	}
 	// Reslicing to the kind column's length lets the compiler drop the

@@ -13,7 +13,7 @@ import (
 //	p0: b0 prologue (2 alu) -> b1
 //	    b1: lw; addu(use); slt; bne backward (taken p) -> b1 / b2
 //	    b2: j b0
-func tinyLoop(t *testing.T, takenProb float64) *program.Program {
+func tinyLoop(t testing.TB, takenProb float64) *program.Program {
 	t.Helper()
 	bd := program.NewBuilder("tiny", 0)
 	main := bd.StartProc("main")

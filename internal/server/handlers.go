@@ -11,15 +11,17 @@ import (
 	"pipecache/internal/core"
 )
 
-// routes mounts every endpoint on the mux, each behind instrument.
+// routes mounts every endpoint on the mux, each behind the shared
+// Instrument middleware.
 func (s *Server) routes() {
-	s.mux.Handle("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	s.mux.Handle("POST /v1/best", s.instrument("best", s.handleBest))
-	s.mux.Handle("POST /v1/sweep-range", s.instrument("sweep_range", s.handleSweepRange))
-	s.mux.Handle("GET /v1/figures/{n}", s.instrument("figures", s.handleFigure))
-	s.mux.Handle("GET /v1/tables/{n}", s.instrument("tables", s.handleTable))
-	s.mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	wrap := Instrument("server", s.reg, s.log, s.cfg.RequestTimeout)
+	s.mux.Handle("POST /v1/simulate", wrap("simulate", s.handleSimulate))
+	s.mux.Handle("POST /v1/best", wrap("best", s.handleBest))
+	s.mux.Handle("POST /v1/sweep-range", wrap("sweep_range", s.handleSweepRange))
+	s.mux.Handle("GET /v1/figures/{n}", wrap("figures", s.handleFigure))
+	s.mux.Handle("GET /v1/tables/{n}", wrap("tables", s.handleTable))
+	s.mux.Handle("GET /healthz", wrap("healthz", s.handleHealthz))
+	s.mux.Handle("GET /metrics", wrap("metrics", s.handleMetrics))
 }
 
 // SimPoint is the JSON rendering of one evaluated design point.
