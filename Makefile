@@ -19,8 +19,8 @@ race:
 	$(GO) test -race ./...
 
 # The race-detector package list shared with CI: concurrency-bearing
-# packages, including the sharded-replay tier (cpisim) and the boundary
-# banks it merges (cache).
+# packages, including parallel capture (trace), the replays that share a
+# trace's plan cache (cpisim), and the bank slabs they recycle (cache).
 RACE_PKGS = ./internal/server ./internal/core ./internal/obs ./internal/trace \
 	./internal/fault ./internal/chaos ./internal/surface ./internal/cluster \
 	./internal/cpisim ./internal/cache
@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime 30s ./internal/fault/
 	$(GO) test -fuzz FuzzSurfaceReader -fuzztime 30s ./internal/surface/
 	$(GO) test -fuzz FuzzReplayDifferential -fuzztime 30s ./internal/cpisim/
+	$(GO) test -fuzz FuzzBankDifferential -fuzztime 30s ./internal/cache/
 
 # Chaos suite: the ablation cross-product and the HTTP service under seeded
 # deterministic fault schedules, race detector on (see DESIGN.md §12).

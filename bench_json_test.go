@@ -15,16 +15,13 @@ var (
 	replayFloor   = flag.Float64("replay-floor", 0, "with -benchjson: fail if BenchmarkTraceReplay falls below this many insts/s; 0 disables the guard")
 )
 
-// benchRecord is one benchmark's summary row. Gomaxprocs is recorded only
-// on the sharded replay rows, which run at GOMAXPROCS raised to their
-// worker count; NsPerProbeConfig is the lane-pack figure of merit — bank
-// ns/op normalized by ladder width.
+// benchRecord is one benchmark's summary row. NsPerProbeConfig is the
+// lane-pack figure of merit — bank ns/op normalized by ladder width.
 type benchRecord struct {
 	Name             string  `json:"name"`
 	Iterations       int     `json:"iterations"`
 	NsPerOp          float64 `json:"ns_per_op"`
 	InstsPerSec      float64 `json:"insts_per_sec,omitempty"`
-	Gomaxprocs       int     `json:"gomaxprocs,omitempty"`
 	NsPerProbeConfig float64 `json:"ns_per_probe_config,omitempty"`
 }
 
@@ -97,19 +94,7 @@ func TestBenchJSON(t *testing.T) {
 	replayed := row("BenchmarkTraceReplay", BenchmarkTraceReplay)
 	speedup("trace_replay_vs_live_pass", live, replayed)
 
-	// Sharded single-pass replay with GOMAXPROCS raised to the worker
-	// count, so the shards may run in parallel; the sequential row above
-	// keeps the base value. On a host with fewer cores the raise grants no
-	// extra cores and the split shows pure merge overhead.
-	base := runtime.GOMAXPROCS(0)
-	for _, workers := range []int{2, 4} {
-		runtime.GOMAXPROCS(max(base, workers))
-		rec := row(fmt.Sprintf("BenchmarkShardedReplay/workers=%d", workers), func(b *testing.B) { benchReplay(b, workers) })
-		rep.Benchmarks[len(rep.Benchmarks)-1].Gomaxprocs = runtime.GOMAXPROCS(0)
-		runtime.GOMAXPROCS(base)
-		speedup(fmt.Sprintf("sharded_replay_%d_workers_vs_sequential", workers), replayed, rec)
-	}
-
+	row("BenchmarkCapture", BenchmarkCapture)
 	speedup("surface_lookup_vs_live_pass", live, row("BenchmarkSurfaceLookup", BenchmarkSurfaceLookup))
 	ablLive := row("BenchmarkAblationSuite/live", func(b *testing.B) { benchAblationSuite(b, false) })
 	ablReplay := row("BenchmarkAblationSuite/replay", func(b *testing.B) { benchAblationSuite(b, true) })

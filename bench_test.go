@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -388,25 +389,18 @@ type replayRig struct {
 
 var replayFix fixture[replayRig]
 
-// benchReplay replays the captured trace once per iteration: workers == 0
-// through the sequential Replay, otherwise through the sharded single-pass
-// tier at that worker count.
-func benchReplay(b *testing.B, workers int) {
+// BenchmarkTraceReplay measures the replay kernel: one full espresso pass
+// per iteration over a pre-captured event trace, through the compiled
+// chunk plans and the lane-packed banks. The insts/s metric is the
+// headline replay throughput (compare BENCH_sim.json).
+func BenchmarkTraceReplay(b *testing.B) {
 	rig := replayFix.get(b, func() (replayRig, error) {
 		cfg, ws, err := espressoSim()
 		if err != nil {
 			return replayRig{}, err
 		}
-		capSim, err := NewSim(cfg, ws)
-		if err != nil {
-			return replayRig{}, err
-		}
-		rec := NewEventRecorder("bench", microInsts)
-		capSim.SetCapture(rec)
-		if _, err := capSim.Run(microInsts); err != nil {
-			return replayRig{}, err
-		}
-		return replayRig{cfg, ws, rec.Finish()}, nil
+		tr, err := RecordEventTrace(context.Background(), "bench", microInsts, ws, 1)
+		return replayRig{cfg, ws, tr}, err
 	})
 	b.ResetTimer()
 	var total int64
@@ -415,12 +409,7 @@ func benchReplay(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var res *SimResult
-		if workers == 0 {
-			res, err = sim.Replay(microInsts, rig.tr)
-		} else {
-			res, err = sim.ReplaySharded(microInsts, rig.tr, workers)
-		}
+		res, err := sim.Replay(microInsts, rig.tr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -430,21 +419,25 @@ func benchReplay(b *testing.B, workers int) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
 }
 
-// BenchmarkTraceReplay measures the sequential replay kernel: one full
-// espresso pass per iteration over a pre-captured event trace, through
-// the compiled chunk plans and the lane-packed banks. The insts/s metric
-// is the headline replay throughput (compare BENCH_sim.json).
-func BenchmarkTraceReplay(b *testing.B) { benchReplay(b, 0) }
-
-// BenchmarkShardedReplay replays the same trace through the sharded
-// single-pass tier at several worker counts. Results are bit-identical
-// to BenchmarkTraceReplay at every count (see the differential tests in
-// internal/cpisim); the wall-clock split across workers only appears
-// when GOMAXPROCS grants the shards real cores.
-func BenchmarkShardedReplay(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchReplay(b, workers) })
+// BenchmarkCapture measures the capture half of a cold pass: the gcc+yacc
+// event streams recorded at microInsts per benchmark, each benchmark
+// interpreted on its own goroutine (GOMAXPROCS at once). The insts/s
+// metric counts the instructions of every benchmark.
+func BenchmarkCapture(b *testing.B) {
+	ws := smallSuite(b).Workloads()
+	b.ResetTimer()
+	var total int64
+	for i := 0; i < b.N; i++ {
+		tr, err := RecordEventTrace(context.Background(), "bench", microInsts, ws, runtime.GOMAXPROCS(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < tr.Len(); j++ {
+			total += tr.Bench(j).Insts()
+		}
+		tr.Release()
 	}
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
 }
 
 // BenchmarkCacheAccess measures the raw cache model: the direct-mapped

@@ -68,10 +68,6 @@ type Bank struct {
 	memoBlock   uint32
 	memoOK      bool
 
-	// probeTag is an opaque label recorded with deferred boundary-mode
-	// probes (sharded replay); see SetProbeTag.
-	probeTag uint32
-
 	// Shared general-kernel line state, indexed [meta.base + set*assoc +
 	// way]. A line's tag carries lineValid (bit 32) when the line holds
 	// data: one 64-bit compare replaces the separate valid-byte and tag
@@ -219,20 +215,13 @@ func (b *Bank) Len() int { return len(b.cfgs) }
 func (b *Bank) Config(i int) Config { return b.cfgs[i] }
 
 // AllPacked reports whether every configuration is covered by lane-packed
-// groups (the precondition for boundary-mode sharding, whose
-// reconciliation argument relies on the packed representation).
+// groups.
 func (b *Bank) AllPacked() bool {
 	return len(b.meta) == 0 && len(b.metaFIFO) == 0 && len(b.metaPLRU) == 0
 }
 
 // PackedGroups returns the number of lane-packed groups.
 func (b *Bank) PackedGroups() int { return len(b.packed) }
-
-// SetProbeTag labels subsequent probes for boundary-mode reconciliation:
-// deferred first-touch records carry the tag so the resolver can
-// attribute late-resolved misses (e.g. to the benchmark that probed).
-// Ignored outside boundary mode.
-func (b *Bank) SetProbeTag(tag uint32) { b.probeTag = tag }
 
 // Release returns the bank's pooled slabs. The bank must not be used
 // afterwards.
@@ -322,12 +311,9 @@ func (b *Bank) probe(addr uint32, write bool, n uint64) uint64 {
 		if e>>32 == t && e&g.allValid == g.allValid {
 			if write && g.writeBack {
 				g.table[s] = e | g.allValid<<16
-				if g.sym != nil && g.sym[s] != 0 {
-					g.sym[s] = 0
-				}
 			}
 		} else {
-			miss = g.probeSlow(b, block, s, t, e, write)
+			miss = g.probeSlow(s, t, e, write)
 		}
 		if !write || g.writeBack {
 			// After an allocating probe every lane holds the block; a
@@ -339,7 +325,7 @@ func (b *Bank) probe(addr uint32, write bool, n uint64) uint64 {
 	}
 	var miss uint64
 	for _, g := range b.packed {
-		miss |= g.probe(b, addr>>g.blockBits, write)
+		miss |= g.probe(addr>>g.blockBits, write)
 	}
 	if len(b.meta) != 0 {
 		miss |= b.probeGeneral(addr, write)

@@ -105,6 +105,37 @@ func TestBankMixedConfigs(t *testing.T) {
 	}
 }
 
+// TestPackedGroupChunking packs more same-shape lanes than one group's
+// mask width and checks the multi-group split stays differential-exact.
+func TestPackedGroupChunking(t *testing.T) {
+	var cfgs []Config
+	for i := 0; i < 20; i++ {
+		cfgs = append(cfgs, Config{SizeKW: 1 << uint(i%6), BlockWords: 4, Assoc: 1, WriteBack: true})
+	}
+	bank := mustBank(t, cfgs)
+	if bank.PackedGroups() != 2 || !bank.AllPacked() {
+		t.Fatalf("groups=%d allPacked=%v, want 2 groups all packed", bank.PackedGroups(), bank.AllPacked())
+	}
+	refs := refCaches(t, cfgs)
+	r := stats.NewRNG(11)
+	for i := 0; i < 20000; i++ {
+		addr := uint32(r.Intn(120_000))
+		write := r.Bool(0.3)
+		mask := bank.Access(addr, write)
+		for ci, c := range refs {
+			res := c.Access(addr, write)
+			if gotMiss := mask&(1<<uint(ci)) != 0; gotMiss == res.Hit {
+				t.Fatalf("cfg %d probe %d: bank miss=%v, cache hit=%v", ci, i, gotMiss, res.Hit)
+			}
+		}
+	}
+	for ci := range cfgs {
+		if got, want := bank.Stats(ci), refs[ci].Stats(); got != want {
+			t.Fatalf("cfg %d: bank stats %+v, cache stats %+v", ci, got, want)
+		}
+	}
+}
+
 // TestBankAccessRangeDifferential checks the grouped I-fetch probe: one
 // AccessRange over a run of consecutive words must report the same misses
 // and leave the same statistics as probing each word separately, because

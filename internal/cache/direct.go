@@ -42,14 +42,14 @@ const (
 )
 
 // Direct returns the call-free view, or nil when the bank is not a
-// single-configuration packed bank (multiple lanes, general configs, or
-// boundary mode) or its tags do not fit the compact entry.
+// single-configuration packed bank (multiple lanes or general configs)
+// or its tags do not fit the compact entry.
 func (b *Bank) Direct() *Direct {
 	if !b.fullyPacked {
 		return nil
 	}
 	g := b.packed[0]
-	if len(g.lanes) != 1 || g.boundary {
+	if len(g.lanes) != 1 {
 		return nil
 	}
 	if g.blockBits+g.setBits < directTagShift {

@@ -49,14 +49,6 @@ type packedGroup struct {
 	writeBack bool
 	table     []uint64
 	lanes     []packedLane
-
-	// Boundary mode (sharded replay): the group starts cold mid-stream,
-	// defers the first touch of every (lane, class) to a reconciliation
-	// log, and tracks which dirty bits are symbolic (functions of the
-	// unknown incoming state). See boundary.go.
-	boundary bool
-	sym      []uint16
-	log      []boundaryRec
 }
 
 // laneSets returns the set count of one direct-mapped config.
@@ -114,17 +106,11 @@ func (g *packedGroup) release() {
 			g.lanes[i].holder = nil
 		}
 	}
-	if g.sym != nil {
-		mempool.PutUint16s(g.sym)
-		g.sym = nil
-	}
-	putBoundaryLog(g.log)
-	g.log = nil
 }
 
 // probe sends one block access through every lane of the group and
 // returns the bank-level miss mask contribution.
-func (g *packedGroup) probe(b *Bank, block uint32, write bool) uint64 {
+func (g *packedGroup) probe(block uint32, write bool) uint64 {
 	s := block & g.maskMax
 	t := uint64(block >> g.setBits)
 	e := g.table[s]
@@ -135,21 +121,13 @@ func (g *packedGroup) probe(b *Bank, block uint32, write bool) uint64 {
 		// bank-level write counter).
 		if write && g.writeBack {
 			g.table[s] = e | g.allValid<<16
-			if g.sym != nil && g.sym[s] != 0 {
-				// The write pins every dirty bit to 1 regardless of the
-				// incoming state: formerly symbolic lanes are concrete now.
-				g.sym[s] = 0
-			}
 		}
 		return 0
 	}
-	return g.probeSlow(b, block, s, t, e, write)
+	return g.probeSlow(s, t, e, write)
 }
 
-func (g *packedGroup) probeSlow(b *Bank, block, s uint32, t, e uint64, write bool) uint64 {
-	if g.boundary {
-		return g.probeSlowBoundary(b, block, s, t, e, write)
-	}
+func (g *packedGroup) probeSlow(s uint32, t, e uint64, write bool) uint64 {
 	valid := e & 0xffff
 	tagMatch := e>>32 == t && valid != 0
 	var hit uint64
@@ -225,145 +203,6 @@ func (g *packedGroup) probeSlow(b *Bank, block, s uint32, t, e uint64, write boo
 		nd = dirty & hit
 	}
 	g.table[s] = t<<32 | nd<<16 | g.allValid
-	return miss
-}
-
-// probeSlowBoundary is the boundary-mode (sharded replay) variant: it
-// additionally defers first-touch probes to the reconciliation log and
-// tracks symbolic dirty bits. See boundary.go.
-func (g *packedGroup) probeSlowBoundary(b *Bank, block, s uint32, t, e uint64, write bool) uint64 {
-	valid := e & 0xffff
-	dirty := (e >> 16) & 0xffff
-	tagMatch := e>>32 == t && valid != 0
-	var hit uint64
-	if tagMatch {
-		hit = valid
-	}
-	var miss, rec uint64
-
-	if write && !g.writeBack {
-		// Write-through writes never allocate, so no line state changes:
-		// count the per-lane write misses and return.
-		for ml := g.allValid &^ hit; ml != 0; ml &= ml - 1 {
-			l := uint(bits.TrailingZeros64(ml))
-			bit := uint64(1) << l
-			lane := &g.lanes[l]
-			if lane.holder == nil {
-				if e == 0 {
-					rec |= bit
-					continue
-				}
-			} else if lane.holder[s&lane.mask] < 0 {
-				rec |= bit
-				continue
-			}
-			lane.st.WriteMisses++
-			miss |= lane.cibit
-		}
-		if rec != 0 {
-			g.log = append(g.log, boundaryRec{block: block, tag: b.probeTag, lanes: uint16(rec), flags: recWrite})
-		}
-		return miss
-	}
-
-	// Allocating probe: a read under either policy, or a write-back write.
-	for ml := g.allValid &^ hit; ml != 0; ml &= ml - 1 {
-		l := uint(bits.TrailingZeros64(ml))
-		bit := uint64(1) << l
-		lane := &g.lanes[l]
-		if lane.holder == nil {
-			// The lane spans every entry, so its line (if any) is at s.
-			if valid&bit == 0 {
-				// First touch of the (lane, class): defer to the log.
-				rec |= bit
-				continue
-			}
-			st := lane.st
-			if write {
-				st.WriteMisses++
-			} else {
-				st.ReadMisses++
-			}
-			miss |= lane.cibit
-			if g.sym != nil && uint64(g.sym[s])&bit != 0 {
-				g.log = append(g.log, boundaryRec{block: s, lanes: uint16(bit), flags: recSymEvict})
-				g.sym[s] &^= uint16(bit)
-			} else if dirty&bit != 0 {
-				st.Writebacks++
-			}
-			continue
-		}
-		c := s & lane.mask
-		old := lane.holder[c]
-		if old < 0 {
-			// First touch of the (lane, class): defer to the log.
-			rec |= bit
-			lane.holder[c] = int32(s)
-			continue
-		}
-		st := lane.st
-		if write {
-			st.WriteMisses++
-		} else {
-			st.ReadMisses++
-		}
-		miss |= lane.cibit
-		if old == int32(s) {
-			// Tag mismatch with the lane's line at s itself: replaced in
-			// place, writing back if dirty.
-			if g.sym != nil && uint64(g.sym[s])&bit != 0 {
-				g.log = append(g.log, boundaryRec{block: s, lanes: uint16(bit), flags: recSymEvict})
-				g.sym[s] &^= uint16(bit)
-			} else if dirty&bit != 0 {
-				st.Writebacks++
-			}
-			continue
-		}
-		// The lane's line lives at another entry of its class: evict it
-		// there and move the holder here.
-		oe := g.table[old]
-		if g.sym != nil && uint64(g.sym[old])&bit != 0 {
-			g.log = append(g.log, boundaryRec{block: uint32(old), lanes: uint16(bit), flags: recSymEvict})
-			g.sym[old] &^= uint16(bit)
-		} else if oe&(bit<<16) != 0 {
-			st.Writebacks++
-		}
-		g.table[old] = oe &^ (bit | bit<<16)
-		lane.holder[c] = int32(s)
-	}
-
-	// Install: after an allocating probe every lane holds the block. Hit
-	// lanes keep their dirty bits on a read; a write-back write dirties
-	// every lane; fills are clean.
-	var nd uint64
-	if write {
-		nd = g.allValid
-	} else if tagMatch {
-		nd = dirty & hit
-	}
-	if g.sym != nil {
-		keep := uint64(0)
-		if tagMatch && !write {
-			keep = uint64(g.sym[s]) & hit
-		}
-		add := uint64(0)
-		if !write {
-			add = rec
-		}
-		sy := keep | add
-		g.sym[s] = uint16(sy)
-		// Symbolic lanes store clean; the reconciliation pass patches
-		// their resolved dirty bits in.
-		nd &^= sy
-	}
-	g.table[s] = t<<32 | nd<<16 | g.allValid
-	if rec != 0 {
-		var fl uint8
-		if write {
-			fl = recWrite
-		}
-		g.log = append(g.log, boundaryRec{block: block, tag: b.probeTag, lanes: uint16(rec), flags: fl})
-	}
 	return miss
 }
 

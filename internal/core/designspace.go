@@ -184,6 +184,13 @@ func (l *Lab) EvalDesignRangePolicyContext(ctx context.Context, l2TimeNs float64
 	if lo < 0 || hi > len(pts) || lo > hi {
 		return nil, fmt.Errorf("core: design range [%d, %d) outside the %d-point space", lo, hi, len(pts))
 	}
+	depths := make([]int, hi-lo)
+	for i, dp := range pts[lo:hi] {
+		depths[i] = dp.B
+	}
+	if err := l.warmPasses(ctx, staticPassKeys(depths, pol), func() {}); err != nil {
+		return nil, err
+	}
 	out := make([]PointEval, hi-lo)
 	l.progress.StartPhase("design-space range", int64(hi-lo))
 	defer l.progress.Finish()

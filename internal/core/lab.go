@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"pipecache/internal/cpisim"
 	"pipecache/internal/fault"
 	"pipecache/internal/obs"
+	"pipecache/internal/program"
 	"pipecache/internal/timing"
 	"pipecache/internal/trace"
 )
@@ -26,10 +28,11 @@ var ErrPassPanic = errors.New("core: simulation pass panicked")
 
 // Injection points of the lab tier (see internal/fault): pass execution and
 // individual sweep items, the two seams through which every study runs.
+// The capture point, lab.trace.capture, fires on each capture goroutine
+// inside trace.Record.
 var (
-	ptPassRun      = fault.NewPoint("lab.pass.run")
-	ptSweepItem    = fault.NewPoint("lab.sweep.item")
-	ptTraceCapture = fault.NewPoint("lab.trace.capture")
+	ptPassRun   = fault.NewPoint("lab.pass.run")
+	ptSweepItem = fault.NewPoint("lab.sweep.item")
 )
 
 // Params are the shared experiment parameters.
@@ -416,12 +419,14 @@ func (l *Lab) traceKey(ws []cpisim.Workload) string {
 }
 
 // runOrReplay is the event-trace tier under every simulation pass. The
-// first pass for a workload set interprets live with a recorder teed in
-// and commits the capture; concurrent same-key passes wait for that single
-// flight; every later pass replays the stored stream straight into its own
-// cache banks. Replay failure (a stale or mismatched trace) falls back to
-// live interpretation on a fresh simulator — never on the partially-driven
-// one — so results are correct even when the tier misbehaves.
+// first pass for a workload set records the trace — every benchmark
+// interpreted on its own goroutine, at most sweepWorkers() at once —
+// commits it, and replays it like every later pass; concurrent same-key
+// passes wait for that single flight. Replay failure (a stale or
+// mismatched trace) falls back to live interpretation on a fresh
+// simulator — never on the partially-driven one — so results are correct
+// even when the tier misbehaves. The live path otherwise runs only with
+// the tier disabled or for a key tombstoned as oversize.
 func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Workload) (*cpisim.Result, error) {
 	sim, err := cpisim.New(cfg, ws)
 	if err != nil {
@@ -436,42 +441,32 @@ func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Wo
 	if err != nil {
 		return nil, err
 	}
+	served := "lab.pass_replays"
 	if tok != nil {
-		// Designated capturer: this pass was going to interpret live
-		// anyway; tee the streams into a recorder on the way. The deferred
-		// abort also covers a panic in the run: an unresolved token would
-		// wedge every later Acquire of this key on a channel that never
-		// closes.
+		// Designated capturer. The deferred abort also covers a panic on
+		// this goroutine: an unresolved token would wedge every later
+		// Acquire of this key on a channel that never closes.
 		defer func() {
 			if !tok.Resolved() {
 				tok.Abort()
 			}
 		}()
-		if err := ptTraceCapture.Inject(); err != nil {
+		if tr, err = l.record(ctx, key, ws); err != nil {
 			return nil, err
 		}
-		rec := trace.NewRecorder(key, l.P.Insts)
-		sim.SetCapture(rec)
-		res, err := sim.RunContext(ctx, l.P.Insts)
-		if err != nil {
-			return nil, err
-		}
-		captured := rec.Finish()
-		tok.Commit(captured)
-		captured.Release()
-		return res, nil
-	}
-	if tr == nil {
+		// Commit takes the store's own reference, or drops an oversize
+		// trace; either way this pass replays from the creator reference
+		// it still holds.
+		tok.Commit(tr)
+		served = "lab.pass_captures"
+	} else if tr == nil {
 		// Oversize tombstone: interpret live without capturing.
 		return sim.RunContext(ctx, l.P.Insts)
 	}
-	// A pass inside the sharded gate (static scheme, direct-mapped banks)
-	// is cut at turn boundaries and replayed on every core, merged back
-	// bit-identically; any other pass falls back to the sequential replay.
-	res, rerr := sim.ReplayShardedContext(ctx, l.P.Insts, tr, runtime.GOMAXPROCS(0))
+	res, rerr := sim.ReplayContext(ctx, l.P.Insts, tr)
 	tr.Release()
 	if rerr == nil {
-		l.obs.Counter("lab.pass_replays").Inc()
+		l.obs.Counter(served).Inc()
 		sim.Release()
 		return res, nil
 	}
@@ -490,9 +485,28 @@ func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Wo
 	return fresh.RunContext(ctx, l.P.Insts)
 }
 
+// record captures the workloads' event streams in parallel. A panic on a
+// capture goroutine comes back as trace.ErrCapturePanic and is reported
+// like a panic of the pass itself.
+func (l *Lab) record(ctx context.Context, key string, ws []cpisim.Workload) (*trace.EventTrace, error) {
+	progs := make([]*program.Program, len(ws))
+	seeds := make([]uint64, len(ws))
+	for i, w := range ws {
+		progs[i], seeds[i] = w.Prog, w.Seed
+	}
+	tr, err := trace.Record(ctx, key, l.P.Insts, progs, seeds, l.sweepWorkers())
+	if errors.Is(err, trace.ErrCapturePanic) {
+		if l.obs != nil {
+			l.obs.Counter("lab.pass_panics").Inc()
+		}
+		return nil, fmt.Errorf("%w: %w", ErrPassPanic, err)
+	}
+	return tr, err
+}
+
 // Prewarm runs the standard simulation passes (static delayed branches at
-// every depth plus the BTB scheme) concurrently, so the experiments that
-// follow hit the memo. Each pass is an independent simulator over the
+// every depth plus the BTB scheme) on the sweep pool, so the experiments
+// that follow hit the memo. Each pass is an independent simulator over the
 // shared read-only programs; results are deterministic regardless of
 // completion order.
 func (l *Lab) Prewarm() error {
@@ -504,24 +518,35 @@ func (l *Lab) Prewarm() error {
 		{b: 0, scheme: cpisim.BranchBTB, policy: l.P.Policy},
 	}
 	l.progress.StartPhase("simulation passes", int64(len(keys)))
-	errs := make([]error, len(keys))
-	var wg sync.WaitGroup
-	for i, k := range keys {
-		wg.Add(1)
-		go func(i int, k passKey) {
-			defer wg.Done()
-			_, errs[i] = l.passContext(context.Background(), k)
-			l.progress.Step(1)
-		}(i, k)
-	}
-	wg.Wait()
-	l.progress.Finish()
-	for _, err := range errs {
-		if err != nil {
+	defer l.progress.Finish()
+	return l.warmPasses(context.Background(), keys, func() { l.progress.Step(1) })
+}
+
+// warmPasses requests the given memoized passes on the sweep pool, calling
+// done after each. A sweep warms the distinct passes it needs before
+// fanning out over its points: the points are enumerated depth by depth,
+// so without it every worker would queue on the same pass while the
+// others it needs wait their turn.
+func (l *Lab) warmPasses(ctx context.Context, keys []passKey, done func()) error {
+	return l.forEach(ctx, len(keys), func(ctx context.Context, i int) error {
+		if _, err := l.passContext(ctx, keys[i]); err != nil {
 			return err
 		}
+		done()
+		return nil
+	})
+}
+
+// staticPassKeys returns the distinct static-scheme pass keys behind the
+// given branch depths, in first-seen order.
+func staticPassKeys(depths []int, pol cache.Policy) []passKey {
+	var keys []passKey
+	for _, b := range depths {
+		if k := (passKey{b: b, scheme: cpisim.BranchStatic, policy: pol}); !slices.Contains(keys, k) {
+			keys = append(keys, k)
+		}
 	}
-	return nil
+	return keys
 }
 
 // sweepWorkers resolves the configured pool size.

@@ -156,11 +156,12 @@ func (l *Lab) BestDesign(l2TimeNs float64, scheme cpisim.LoadScheme, symmetric b
 }
 
 // BestDesignContext is BestDesign with cooperative cancellation, checked at
-// every design point. The candidate points are independent (the memoized
-// passes behind them are single-flighted), so they are evaluated on the
-// lab's bounded worker pool; the minimum is then reduced serially in
-// enumeration order, which preserves the serial sweep's earliest-wins
-// tie-break at every worker count.
+// every design point. The distinct passes behind the candidates are first
+// requested side by side on the lab's bounded worker pool (warmPasses);
+// the candidate points are then independent, so they are evaluated on the
+// same pool, and the minimum is reduced serially in enumeration order,
+// which preserves the serial sweep's earliest-wins tie-break at every
+// worker count.
 func (l *Lab) BestDesignContext(ctx context.Context, l2TimeNs float64, scheme cpisim.LoadScheme, symmetric bool) (*Optimum, error) {
 	return l.BestDesignPolicyContext(ctx, l2TimeNs, scheme, symmetric, l.P.Policy)
 }
@@ -186,6 +187,13 @@ func (l *Lab) BestDesignPolicyContext(ctx context.Context, l2TimeNs float64, sch
 				}
 			}
 		}
+	}
+	depths := make([]int, len(cands))
+	for i, c := range cands {
+		depths[i] = c.b
+	}
+	if err := l.warmPasses(ctx, staticPassKeys(depths, pol), func() {}); err != nil {
+		return nil, err
 	}
 	l.progress.StartPhase("design-space sweep", int64(len(cands)))
 	defer l.progress.Finish()

@@ -22,7 +22,7 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 		DCaches:     []cache.Config{icfg()},
 		Quantum:     20_000,
 	}
-	_, tr := captureTrace(t, Config{Quantum: 20_000}, ws, insts)
+	tr := captureTrace(t, ws, insts, 1)
 	defer tr.Release()
 
 	sim, err := New(cfg, ws)
@@ -62,7 +62,7 @@ func TestSimReleaseRecycles(t *testing.T) {
 		DCaches:     []cache.Config{icfg()},
 		Quantum:     20_000,
 	}
-	_, tr := captureTrace(t, Config{Quantum: 20_000}, ws, insts)
+	tr := captureTrace(t, ws, insts, 1)
 	defer tr.Release()
 
 	run := func() {

@@ -54,8 +54,8 @@ type metaKey struct {
 }
 
 // cachedBlockMeta returns the shared table for one translation identity,
-// building it on first sight. Concurrent builders (sharded replays
-// constructing shard Sims in parallel) converge on one canonical table.
+// building it on first sight. Concurrent builders (simulators of one
+// sweep constructed in parallel) converge on one canonical table.
 func cachedBlockMeta(prog *program.Program, xlat *sched.Translation, slots int, prof *sched.Profile) []blockMeta {
 	key := metaKey{prog: prog, slots: slots, prof: prof}
 	if v, ok := blockMetaCache.Load(key); ok {

@@ -95,13 +95,35 @@ func (p *chunkPlan) loadStall(l int, dynamic bool) int64 {
 // buildChunkPlan decodes one delivered column slice against the block
 // table, starting from the carried delay-slot skip. The arithmetic is the
 // generic per-event handlers', reordered into plan form.
+//
+// The probe streams are allocated once, at their final size: a counting
+// pass bounds the fetch stream (one range per block, plus one per taken
+// CTI with a squash fetch; only a block the carried skip swallows whole
+// adds nothing) and sizes the D-reference stream exactly. Plans stay
+// resident for the trace's life, so append's doubling slack would be held
+// by every plan of every pass.
 func buildChunkPlan(metas []blockMeta, kinds []uint8, as, bvals []uint32, skipIn int) *chunkPlan {
+	as = as[:len(kinds)]
+	bvals = bvals[:len(kinds)]
+	var nFetch, nMem int
+	for i, k := range kinds {
+		switch interp.EventKind(k) {
+		case interp.EvBlock:
+			nFetch++
+		case interp.EvMemLoad, interp.EvMemStore:
+			nMem++
+		case interp.EvCTITaken:
+			if m := &metas[as[i]]; !m.predTaken && m.squashN > 0 {
+				nFetch++
+			}
+		}
+	}
 	p := &chunkPlan{
 		eps:      stats.NewHist(epsBins),
 		epsBlock: stats.NewHist(epsBins),
+		fetches:  make([]uint64, 0, nFetch),
+		drefs:    make([]uint64, 0, nMem),
 	}
-	as = as[:len(kinds)]
-	bvals = bvals[:len(kinds)]
 	skip := skipIn
 	for i := range kinds {
 		switch interp.EventKind(kinds[i]) {
@@ -172,8 +194,8 @@ func buildChunkPlan(metas []blockMeta, kinds []uint8, as, bvals []uint32, skipIn
 
 // planFor returns the compiled plan for a delivered column slice,
 // building and caching it on first sight. LoadOrStore keeps one
-// canonical instance when concurrent replays (sharded passes share the
-// trace's cache) compile the same chunk at once; the build is a pure
+// canonical instance when concurrent replays (the passes of a sweep share
+// the trace's cache) compile the same chunk at once; the build is a pure
 // function of the key, so either instance is identical.
 func (h *benchSink) planFor(aux *sync.Map, kinds []uint8, as, bvals []uint32) *chunkPlan {
 	b := h.b

@@ -7,25 +7,15 @@ import (
 	"pipecache/internal/trace"
 )
 
-// The capture/replay tier. A live pass interprets every workload to
-// produce its event stream; that stream is a pure function of (program,
+// The replay tier. A pass's event streams are a pure function of (program,
 // seed, budget) — see the stream invariance contract in internal/interp —
 // while every architectural knob (branch scheme and slots, load scheme,
 // cache banks, profiles, even the multiprogramming quantum) is applied by
-// benchSink on the way down. SetCapture tees the streams of one live pass
-// into a trace.EventTrace; ReplayContext then drives benchSink straight
-// from the stored columns for any later configuration, with no interpreter
-// decode, and produces bit-identical Results and published obs counters.
-
-// SetCapture tees every workload's event stream into rec while the next
-// live run executes: the events still reach the simulator unchanged, and
-// are appended to the recorder's per-benchmark columnar streams on the
-// way. Call once, before Run/RunContext, on a fresh simulator.
-func (s *Sim) SetCapture(rec *trace.Recorder) {
-	for _, b := range s.benches {
-		b.drive = rec.Bench(b.prog.Name, b.seed, b.sink)
-	}
-}
+// benchSink on the way down. trace.Record captures the streams once, each
+// benchmark on its own goroutine; ReplayContext then drives benchSink
+// straight from the stored columns for any configuration, with no
+// interpreter decode, and produces Results and published obs counters
+// bit-identical to a live RunContext.
 
 // checkTraceLive rejects a nil or fully released trace before any of its
 // chunks are touched. Compiled chunk plans (plan.go) key on column slices

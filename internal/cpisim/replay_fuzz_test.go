@@ -1,11 +1,15 @@
 package cpisim
 
 import (
+	"context"
+	"math"
 	"reflect"
 	"testing"
 
 	"pipecache/internal/cache"
+	"pipecache/internal/interp"
 	"pipecache/internal/obs"
+	"pipecache/internal/trace"
 )
 
 // fuzzLadder decodes a small cache ladder, two bytes per configuration
@@ -26,25 +30,57 @@ func fuzzLadder(b []byte) []cache.Config {
 	return cfgs
 }
 
-// FuzzReplayDifferential holds the replay dispatch to the live oracle over
-// random small configurations: ladders of any size, block, associativity,
-// write and replacement policy, random delay-slot counts, branch and load
-// schemes, and replay and capture quanta. A live pass, the sequential
-// Replay, and a two-worker ReplaySharded must agree on the Result, the
-// published counters, and every configuration's folded bank statistics.
+// chunkColumns is one captured stream as the columns its chunks hold:
+// an unbounded turn delivers every chunk wholesale, one call per chunk.
+type chunkColumns struct {
+	kinds [][]uint8
+	as    [][]uint32
+	bs    [][]uint32
+}
+
+func (c *chunkColumns) Events([]interp.Event) { panic("columnar delivery expected") }
+func (c *chunkColumns) EventColumns(kinds []uint8, as, bs []uint32) {
+	c.kinds = append(c.kinds, kinds)
+	c.as = append(c.as, as)
+	c.bs = append(c.bs, bs)
+}
+
+func traceColumns(tr *trace.EventTrace) []chunkColumns {
+	out := make([]chunkColumns, tr.Len())
+	for i := range out {
+		cur := tr.Cursor(i)
+		cur.Turn(math.MaxInt64, nil, &out[i])
+	}
+	return out
+}
+
+// captureWorkers are the capture pool widths the fuzzer picks from.
+var captureWorkers = []int{1, 2, 3, 8}
+
+// FuzzReplayDifferential holds the capture and replay path to the live
+// oracle over random small configurations: ladders of any size, block,
+// associativity, write and replacement policy, random delay-slot counts,
+// branch and load schemes, replay quanta, and capture worker counts. A
+// trace recorded at the picked worker count must hold the same chunk
+// columns as a one-worker capture, and a live pass and the Replay of that
+// trace must agree on the Result, the published counters, and every
+// configuration's folded bank statistics.
 func FuzzReplayDifferential(f *testing.F) {
-	// A packed direct-mapped ladder (inside the sharded gate).
-	f.Add([]byte{0x11, 0x00, 0x12, 0x00, 0x01, 0x00}, []byte{0x11, 0x00, 0x02, 0x00}, uint8(2), uint8(2), uint16(700), uint16(20_000), uint8(0))
+	// A packed direct-mapped ladder.
+	f.Add([]byte{0x11, 0x00, 0x12, 0x00, 0x01, 0x00}, []byte{0x11, 0x00, 0x02, 0x00}, uint8(2), uint8(2), uint16(700), uint16(1), uint8(0))
 	// Single direct-mapped caches (the inlined cache.Direct probe views).
-	f.Add([]byte{0x17, 0x00}, []byte{0x15, 0x00}, uint8(2), uint8(1), uint16(20_000), uint16(2_500), uint8(0))
-	// Set-associative FIFO and Tree-PLRU ladders (sequential fallback).
-	f.Add([]byte{0x15, 0x05, 0x02, 0x01}, []byte{0x19, 0x0a, 0x13, 0x06}, uint8(1), uint8(3), uint16(3_000), uint16(500), uint8(0))
+	f.Add([]byte{0x17, 0x00}, []byte{0x15, 0x00}, uint8(2), uint8(1), uint16(20_000), uint16(3), uint8(0))
+	// Set-associative FIFO and Tree-PLRU ladders (general bank kernels).
+	f.Add([]byte{0x15, 0x05, 0x02, 0x01}, []byte{0x19, 0x0a, 0x13, 0x06}, uint8(1), uint8(3), uint16(3_000), uint16(2), uint8(0))
 	// The BTB scheme with dynamic loads and no I-caches.
-	f.Add([]byte{}, []byte{0x10, 0x01, 0x1f, 0x03}, uint8(3), uint8(1), uint16(1_234), uint16(7_000), uint8(3))
+	f.Add([]byte{}, []byte{0x10, 0x01, 0x1f, 0x03}, uint8(3), uint8(1), uint16(1_234), uint16(0), uint8(3))
 
 	ws := replayWorkloads(f)
 	const insts = 5_000
-	f.Fuzz(func(t *testing.T, iLadder, dLadder []byte, bslots, lslots uint8, quantum, capQuantum uint16, schemes uint8) {
+	ref := captureTrace(f, ws, insts, 1)
+	f.Cleanup(ref.Release)
+	refCols := traceColumns(ref)
+	f.Fuzz(func(t *testing.T, iLadder, dLadder []byte, bslots, lslots uint8, quantum, workerSel uint16, schemes uint8) {
 		cfg := Config{
 			BranchSlots: int(bslots % 4),
 			LoadSlots:   int(lslots % 4),
@@ -58,8 +94,12 @@ func FuzzReplayDifferential(f *testing.F) {
 		if schemes&2 != 0 {
 			cfg.LoadScheme = LoadDynamic
 		}
-		_, tr := captureTrace(t, Config{Quantum: 100 + int64(capQuantum)}, ws, insts)
+		workers := captureWorkers[int(workerSel)%len(captureWorkers)]
+		tr := captureTrace(t, ws, insts, workers)
 		defer tr.Release()
+		if !reflect.DeepEqual(traceColumns(tr), refCols) {
+			t.Fatalf("capture at %d workers holds different chunk columns than at 1", workers)
+		}
 
 		type pass struct {
 			res      *Result
@@ -79,23 +119,16 @@ func FuzzReplayDifferential(f *testing.F) {
 			}
 			return pass{res, bankStats(sim.ibank, len(cfg.ICaches)), bankStats(sim.dbank, len(cfg.DCaches)), reg.Snapshot().Counters}
 		}
-		live := run("live", func(s *Sim) (*Result, error) { return s.Run(insts) })
-		for _, got := range []struct {
-			name string
-			p    pass
-		}{
-			{"replay", run("replay", func(s *Sim) (*Result, error) { return s.Replay(insts, tr) })},
-			{"sharded", run("sharded", func(s *Sim) (*Result, error) { return s.ReplaySharded(insts, tr, 2) })},
-		} {
-			if !reflect.DeepEqual(got.p.res, live.res) {
-				t.Errorf("%s result differs from live under %+v", got.name, cfg)
-			}
-			if !reflect.DeepEqual(got.p.ist, live.ist) || !reflect.DeepEqual(got.p.dst, live.dst) {
-				t.Errorf("%s bank stats differ from live under %+v", got.name, cfg)
-			}
-			if !reflect.DeepEqual(got.p.counters, live.counters) {
-				t.Errorf("%s counters differ from live under %+v", got.name, cfg)
-			}
+		live := run("live", func(s *Sim) (*Result, error) { return s.RunContext(context.Background(), insts) })
+		got := run("replay", func(s *Sim) (*Result, error) { return s.Replay(insts, tr) })
+		if !reflect.DeepEqual(got.res, live.res) {
+			t.Errorf("replay result differs from live under %+v", cfg)
+		}
+		if !reflect.DeepEqual(got.ist, live.ist) || !reflect.DeepEqual(got.dst, live.dst) {
+			t.Errorf("replay bank stats differ from live under %+v", cfg)
+		}
+		if !reflect.DeepEqual(got.counters, live.counters) {
+			t.Errorf("replay counters differ from live under %+v", cfg)
 		}
 	})
 }

@@ -25,7 +25,7 @@ func TestReplayAfterReleaseRejected(t *testing.T) {
 	ws := replayWorkloads(t)
 	const insts = 8_000
 	cfg := Config{ICaches: []cache.Config{icfg()}, DCaches: []cache.Config{icfg()}, Quantum: 2_000}
-	_, tr := captureTrace(t, cfg, ws, insts)
+	tr := captureTrace(t, ws, insts, 1)
 
 	// A live trace replays fine (and compiles plans onto its Aux cache).
 	sim, err := New(cfg, ws)
@@ -47,8 +47,8 @@ func TestReplayAfterReleaseRejected(t *testing.T) {
 		t.Fatalf("replay of a retained trace failed: %v", err)
 	}
 
-	// The final Release recycles the chunks; both replay entry points must
-	// reject the dead trace before touching them.
+	// The final Release recycles the chunks; replay must reject the dead
+	// trace before touching them.
 	tr.Release()
 	if tr.Refs() != 0 {
 		t.Fatalf("refs = %d after final release", tr.Refs())
@@ -59,95 +59,51 @@ func TestReplayAfterReleaseRejected(t *testing.T) {
 	}
 	_, err = fresh.Replay(insts, tr)
 	if err == nil {
-		t.Fatal("sequential replay accepted a released trace")
+		t.Fatal("replay accepted a released trace")
 	}
 	if !strings.Contains(err.Error(), "released") {
 		t.Errorf("unhelpful error: %v", err)
 	}
-	fresh2, err := New(cfg, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh2.ReplaySharded(insts, tr, 4); err == nil {
-		t.Fatal("sharded replay accepted a released trace")
-	}
 }
 
-// TestShardedReplayPolicyConfigs extends the sharded differential suite
-// to FIFO and Tree-PLRU: non-LRU configurations never lane-pack, so they
-// sit outside the boundary-mode gate and must take the transparent
-// sequential fallback — and the results must stay bit-identical to a live
-// pass and to the sequential replay at every worker count.
-func TestShardedReplayPolicyConfigs(t *testing.T) {
+// TestReplayPolicyConfigs holds FIFO and Tree-PLRU ladders — which never
+// lane-pack and so run on the general bank kernels — to the live oracle:
+// the replayed Result and every configuration's bank statistics must be
+// bit-identical to a live pass.
+func TestReplayPolicyConfigs(t *testing.T) {
 	ws := replayWorkloads(t)
 	const insts = 8_000
-	_, tr := captureTrace(t, Config{Quantum: 1_000}, ws, insts)
+	tr := captureTrace(t, ws, insts, 2)
 	defer tr.Release()
 
 	for _, pol := range []cache.Policy{cache.PolicyFIFO, cache.PolicyTreePLRU} {
 		t.Run(pol.String(), func(t *testing.T) {
 			cfg := Config{BranchSlots: 2, LoadSlots: 1,
 				ICaches: policyLadder(pol), DCaches: policyLadder(pol), Quantum: 1_000}
-
-			// Live reference: a fresh interpretation of the same workloads.
-			liveSim, err := New(cfg, ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			live, err := liveSim.Run(insts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			want, wantI, wantD, _ := sequentialReplay(t, cfg, ws, insts, tr)
-			if !reflect.DeepEqual(want.Benches, live.Benches) {
-				t.Fatalf("%v sequential replay differs from live run", pol)
-			}
-
-			gateSim, err := New(cfg, ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gateSim.shardableReplay() {
-				t.Fatalf("%v configuration unexpectedly inside the sharded gate", pol)
-			}
-
-			for _, workers := range []int{1, 2, 3, 8} {
+			drive := func(replay bool) (*Result, []cache.Stats, []cache.Stats) {
 				sim, err := New(cfg, ws)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sim.ReplaySharded(insts, tr, workers)
+				var res *Result
+				if replay {
+					res, err = sim.Replay(insts, tr)
+				} else {
+					res, err = sim.Run(insts)
+				}
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("workers=%d: result differs from sequential", workers)
-				}
-				if gotI := bankStats(sim.ibank, len(cfg.ICaches)); !reflect.DeepEqual(gotI, wantI) {
-					t.Errorf("workers=%d: merged I-bank stats differ", workers)
-				}
-				if gotD := bankStats(sim.dbank, len(cfg.DCaches)); !reflect.DeepEqual(gotD, wantD) {
-					t.Errorf("workers=%d: merged D-bank stats differ", workers)
-				}
+				return res, bankStats(sim.ibank, len(cfg.ICaches)), bankStats(sim.dbank, len(cfg.DCaches))
+			}
+			live, liveI, liveD := drive(false)
+			got, gotI, gotD := drive(true)
+			if !reflect.DeepEqual(got, live) {
+				t.Errorf("%v replay result differs from live", pol)
+			}
+			if !reflect.DeepEqual(gotI, liveI) || !reflect.DeepEqual(gotD, liveD) {
+				t.Errorf("%v replay bank stats differ from live", pol)
 			}
 		})
 	}
-
-	// A direct-mapped non-LRU ladder is policy-equivalent to LRU but must
-	// still be excluded from the gate (its results are answered by the
-	// general kernels, not the packed boundary machinery).
-	t.Run("fifo-direct-mapped-gate", func(t *testing.T) {
-		var cfgs []cache.Config
-		for _, s := range []int{1, 2} {
-			cfgs = append(cfgs, cache.Config{SizeKW: s, BlockWords: 4, Assoc: 1, WriteBack: true, Policy: cache.PolicyFIFO})
-		}
-		sim, err := New(Config{ICaches: cfgs, DCaches: cfgs, Quantum: 1_000}, ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sim.shardableReplay() {
-			t.Fatal("direct-mapped FIFO bank unexpectedly inside the sharded gate")
-		}
-	})
 }

@@ -71,10 +71,6 @@ type benchState struct {
 	slots int
 	prof  *sched.Profile
 	sink  *benchSink
-	// drive is the sink the interpreter feeds during a live run: normally
-	// sink itself, or a trace.Recorder tee (SetCapture) that appends every
-	// event to an EventTrace on its way through.
-	drive interp.EventSink
 	skip  int // delay-slot instructions already executed for the next block
 
 	// ctis is the precomputed static-scheme CTI table the compiled replay
@@ -151,7 +147,6 @@ func New(cfg Config, ws []Workload) (*Sim, error) {
 		}
 		bs := &benchState{it: it, prog: w.Prog, seed: w.Seed, xlat: xlat, slots: slots, prof: prof}
 		bs.sink = &benchSink{s: s, b: bs}
-		bs.drive = bs.sink
 		bs.res.Name = w.Prog.Name
 		bs.res.Weight = w.Weight
 		bs.res.IMisses = make([]int64, len(cfg.ICaches))
@@ -249,7 +244,7 @@ func (s *Sim) RunContext(ctx context.Context, instsPerBench int64) (*Result, err
 			if q > remaining[i] {
 				q = remaining[i]
 			}
-			ran := b.it.RunEvents(q, s.evbuf, b.drive)
+			ran := b.it.RunEvents(q, s.evbuf, b.sink)
 			remaining[i] -= ran
 			if remaining[i] <= 0 {
 				active--

@@ -186,42 +186,9 @@ func (t *EventTrace) Release() {
 	}
 }
 
-// Recorder captures an EventTrace from a running simulation: one Bench
-// sink per workload, teeing the live event stream into columnar chunks on
-// its way to the real consumer.
-type Recorder struct {
-	tr *EventTrace
-}
-
-// NewRecorder starts a capture for the given key and per-benchmark
-// instruction budget.
-func NewRecorder(key string, instsPerBench int64) *Recorder {
-	return &Recorder{tr: &EventTrace{key: key, instsPerBench: instsPerBench}}
-}
-
-// Bench registers one benchmark stream and returns the sink to drive it:
-// events are forwarded to next and appended to the trace. Benchmarks must
-// be registered in workload order.
-func (r *Recorder) Bench(name string, seed uint64, next interp.EventSink) interp.EventSink {
-	be := &BenchEvents{name: name, seed: seed}
-	r.tr.benches = append(r.tr.benches, be)
-	return &benchRecorder{be: be, next: next}
-}
-
-type benchRecorder struct {
-	be   *BenchEvents
-	next interp.EventSink
-}
-
-func (br *benchRecorder) Events(evs []interp.Event) {
-	br.next.Events(evs)
-	br.be.append(evs)
-}
-
-// Finish seals the capture and returns the trace with one reference held
-// by the caller.
-func (r *Recorder) Finish() *EventTrace {
-	t := r.tr
+// seal accounts the trace's storage and hands the creator its one
+// reference. Record calls it once every stream is complete.
+func (t *EventTrace) seal() *EventTrace {
 	for _, b := range t.benches {
 		t.bytes += int64(len(b.chunks)) * chunkBytes
 	}
@@ -245,25 +212,6 @@ func (t *EventTrace) Cursor(i int) Cursor { return Cursor{be: t.benches[i]} }
 func (c *Cursor) Done() bool {
 	return c.ci >= len(c.be.chunks) ||
 		(c.ci == len(c.be.chunks)-1 && c.off >= len(c.be.chunks[c.ci].kind))
-}
-
-// PrevEvent returns the event immediately before the cursor's position,
-// or ok=false at the start of the stream. Turn parks cursors on block
-// boundaries, so the previous event is the last event of the preceding
-// block — the one place per-benchmark replay state (a pending delay-slot
-// skip from a predicted-taken CTI) can originate; a sharded replay uses
-// it to reconstruct that state at any cut without walking the stream.
-func (c *Cursor) PrevEvent() (kind uint8, a, b uint32, ok bool) {
-	ci, off := c.ci, c.off
-	if off == 0 {
-		if ci == 0 {
-			return 0, 0, 0, false
-		}
-		ci--
-		off = len(c.be.chunks[ci].kind)
-	}
-	ch := c.be.chunks[ci]
-	return ch.kind[off-1], ch.a[off-1], ch.b[off-1], true
 }
 
 // Turn replays one multiprogramming turn: whole blocks are delivered until

@@ -27,23 +27,14 @@ func synthStream(n int, instsPerBlock uint32) []interp.Event {
 	return evs
 }
 
-// record captures evs into a single-bench trace, delivering them in
-// batchSize batches, and also returns what the downstream sink saw.
-func record(t *testing.T, evs []interp.Event, batchSize int, insts int64) (*EventTrace, []interp.Event) {
-	t.Helper()
-	var teed []interp.Event
-	rec := NewRecorder("k", insts)
-	sink := rec.Bench("b", 7, interp.EventSinkFunc(func(e []interp.Event) {
-		teed = append(teed, e...)
-	}))
+// synthTrace builds a single-bench trace from evs, appended in batchSize
+// batches (chunking must not depend on the batch boundaries).
+func synthTrace(evs []interp.Event, batchSize int, insts int64) *EventTrace {
+	be := &BenchEvents{name: "b", seed: 7}
 	for lo := 0; lo < len(evs); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(evs) {
-			hi = len(evs)
-		}
-		sink.Events(evs[lo:hi])
+		be.append(evs[lo:min(lo+batchSize, len(evs))])
 	}
-	return rec.Finish(), teed
+	return (&EventTrace{key: "k", instsPerBench: insts, benches: []*BenchEvents{be}}).seal()
 }
 
 // collectSink gathers replayed events through the plain Events interface.
@@ -61,28 +52,6 @@ func (c *columnSink) EventColumns(kind []uint8, a, b []uint32) {
 	}
 }
 
-func TestRecorderTeeTransparent(t *testing.T) {
-	evs := synthStream(100, 5)
-	tr, teed := record(t, evs, 17, 500)
-	defer tr.Release()
-	if !reflect.DeepEqual(teed, evs) {
-		t.Fatal("tee altered the forwarded stream")
-	}
-	b := tr.Bench(0)
-	if b.Name() != "b" || b.Seed() != 7 {
-		t.Fatalf("identity: %s/%d", b.Name(), b.Seed())
-	}
-	if b.Events() != int64(len(evs)) {
-		t.Fatalf("events = %d, want %d", b.Events(), len(evs))
-	}
-	if b.Insts() != 500 {
-		t.Fatalf("insts = %d, want 500", b.Insts())
-	}
-	if tr.Bytes() <= 0 {
-		t.Fatal("no bytes accounted")
-	}
-}
-
 // TestCursorTurnMatchesRunEventsRule replays a stream turn by turn and
 // checks the delivered sequence and per-turn instruction counts against
 // the interpreter's rule: whole blocks until the running total reaches the
@@ -90,7 +59,7 @@ func TestRecorderTeeTransparent(t *testing.T) {
 func TestCursorTurnMatchesRunEventsRule(t *testing.T) {
 	const blocks, per = 40_000, 3 // > 2 chunks of events
 	evs := synthStream(blocks, per)
-	tr, _ := record(t, evs, 4096, blocks*per)
+	tr := synthTrace(evs, 4096, blocks*per)
 	defer tr.Release()
 
 	for _, sinkName := range []string{"plain", "columnar"} {
@@ -146,7 +115,7 @@ func TestCursorTurnMatchesRunEventsRule(t *testing.T) {
 }
 
 func TestEventTraceValidate(t *testing.T) {
-	tr, _ := record(t, synthStream(10, 5), 64, 50)
+	tr := synthTrace(synthStream(10, 5), 64, 50)
 	defer tr.Release()
 	if err := tr.Validate(50, []string{"b"}, []uint64{7}); err != nil {
 		t.Fatal(err)
@@ -166,7 +135,7 @@ func TestEventTraceValidate(t *testing.T) {
 }
 
 func TestEventTraceRefcount(t *testing.T) {
-	tr, _ := record(t, synthStream(10, 5), 64, 50)
+	tr := synthTrace(synthStream(10, 5), 64, 50)
 	tr.Retain()
 	tr.Release()
 	if len(tr.Bench(0).chunks) == 0 {

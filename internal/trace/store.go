@@ -23,10 +23,10 @@ var (
 // EventStore is a bounded, byte-budget LRU cache of EventTraces with
 // single-flight capture. The single-flight discipline is load-bearing for
 // determinism, not just efficiency: when several passes that share a trace
-// key start concurrently, exactly one captures (it was going to interpret
-// live anyway) and the rest wait for the commit and then replay, so the
-// store's counters — and the number of interpretations performed — are
-// identical at any GOMAXPROCS and any worker-pool width.
+// key start concurrently, exactly one captures and the rest wait for the
+// commit and then replay, so the store's counters — and the number of
+// interpretations performed — are identical at any GOMAXPROCS and any
+// worker-pool width.
 //
 // Outcome accounting is deliberately scheduling-independent: for K passes
 // of one key the store reports exactly 1 miss and K-1 hits whether a pass
@@ -145,7 +145,7 @@ func (s *EventStore) Entries() int {
 //   - a resident trace (retained for the caller — Release when done) and a
 //     nil token: replay it;
 //   - a nil trace and a non-nil CaptureToken: the caller is the designated
-//     capturer — run live with a Recorder teed in, then Commit (or Abort on
+//     capturer — record the trace (Record), then Commit (or Abort on
 //     failure/cancellation) exactly once;
 //   - nil, nil, nil: the key is tombstoned as oversize — run live without
 //     capturing.

@@ -12,16 +12,15 @@ import (
 // makeTrace builds a committed-ready trace of roughly nChunks chunks.
 func makeTrace(t *testing.T, key string, nChunks int) *EventTrace {
 	t.Helper()
-	rec := NewRecorder(key, 1)
-	sink := rec.Bench("b", 1, interp.EventSinkFunc(func([]interp.Event) {}))
+	be := &BenchEvents{name: "b", seed: 1}
 	evs := make([]interp.Event, 1024)
 	for i := range evs {
 		evs[i] = interp.Event{Kind: interp.EvMemLoad, A: uint32(i)}
 	}
 	for n := 0; n < nChunks*chunkEvents; n += len(evs) {
-		sink.Events(evs)
+		be.append(evs)
 	}
-	return rec.Finish()
+	return (&EventTrace{key: key, instsPerBench: 1, benches: []*BenchEvents{be}}).seal()
 }
 
 func TestStoreHitMissCommit(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package trace defines the on-disk reference-trace formats of the
 // simulator, utilities to capture, mix, and replay traces, and the
-// in-memory event-trace tier (EventTrace/Recorder/Store) that lets one
+// in-memory event-trace tier (EventTrace/Record/Store) that lets one
 // interpreted pass be replayed against many cache configurations.
 //
 // The paper drove cacheSIM from long multiprogrammed address traces. This

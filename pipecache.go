@@ -252,12 +252,10 @@ type (
 	// reference stream through a delay-slot translation.
 	TraceCapture = trace.Capture
 	// EventTrace is an in-memory columnar capture of a multiprogrammed
-	// pass's interpreter event streams; a Sim replays it against any cache
-	// configuration with bit-identical results (Sim.ReplayContext).
+	// pass's interpreter event streams (RecordEventTrace); a Sim replays it
+	// against any cache configuration with bit-identical results
+	// (Sim.ReplayContext).
 	EventTrace = trace.EventTrace
-	// EventRecorder captures an EventTrace from a live pass
-	// (Sim.SetCapture).
-	EventRecorder = trace.Recorder
 	// EventStore is the bounded byte-budget LRU store of EventTraces with
 	// single-flight capture that Lab uses as its second memo tier
 	// (Params.TraceBudgetBytes, Lab.TraceStore).
@@ -267,10 +265,17 @@ type (
 // NewTraceWriterV1 writes the legacy fixed-record PCT1 trace format.
 func NewTraceWriterV1(w io.Writer) (*TraceWriter, error) { return trace.NewWriterV1(w) }
 
-// NewEventRecorder starts an event-trace capture for the given key and
-// per-benchmark instruction budget.
-func NewEventRecorder(key string, instsPerBench int64) *EventRecorder {
-	return trace.NewRecorder(key, instsPerBench)
+// RecordEventTrace captures the event streams of the workloads at the
+// given per-benchmark instruction budget, interpreting at most workers of
+// them at once; the trace is identical at any worker count. The caller
+// holds one reference (EventTrace.Release).
+func RecordEventTrace(ctx context.Context, key string, instsPerBench int64, ws []Workload, workers int) (*EventTrace, error) {
+	progs := make([]*Program, len(ws))
+	seeds := make([]uint64, len(ws))
+	for i, w := range ws {
+		progs[i], seeds[i] = w.Prog, w.Seed
+	}
+	return trace.Record(ctx, key, instsPerBench, progs, seeds, workers)
 }
 
 // NewEventStore returns a bounded event-trace store.
