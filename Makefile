@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSurfaceReader -fuzztime 30s ./internal/surface/
 	$(GO) test -fuzz FuzzReplayDifferential -fuzztime 30s ./internal/cpisim/
 	$(GO) test -fuzz FuzzBankDifferential -fuzztime 30s ./internal/cache/
+	$(GO) test -fuzz FuzzEventsDifferential -fuzztime 30s ./internal/interp/
 
 # Chaos suite: the ablation cross-product and the HTTP service under seeded
 # deterministic fault schedules, race detector on (see DESIGN.md §12).

@@ -440,8 +440,8 @@ func BenchmarkCapture(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
 }
 
-// BenchmarkCacheAccess measures the raw cache model: the direct-mapped
-// fast path against the LRU set-search paths.
+// BenchmarkCacheAccess measures one cache, a one-configuration bank: the
+// direct-mapped lane-packed path against the LRU set-search paths.
 func BenchmarkCacheAccess(b *testing.B) {
 	for _, v := range []struct {
 		name  string
@@ -458,7 +458,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 // benchCacheAccess probes one 8 KW write-back cache of the given
 // associativity with a strided, one-in-eight-writes address stream.
 func benchCacheAccess(b *testing.B, assoc int) {
-	c, err := NewCache(CacheConfig{SizeKW: 8, BlockWords: 4, Assoc: assoc, WriteBack: true})
+	c, err := NewCacheBank([]CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: assoc, WriteBack: true}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pipecache/internal/cache"
@@ -28,13 +29,13 @@ func main() {
 		wthru = flag.Bool("write-through", false, "write-through/no-allocate data cache (default write-back)")
 	)
 	flag.Parse()
-	if err := run(*path, *isize, *dsize, *block, *assoc, !*wthru); err != nil {
+	if err := run(os.Stdout, *path, *isize, *dsize, *block, *assoc, !*wthru); err != nil {
 		fmt.Fprintf(os.Stderr, "cachesim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, isize, dsize, block, assoc int, writeBack bool) error {
+func run(w io.Writer, path string, isize, dsize, block, assoc int, writeBack bool) error {
 	if path == "" {
 		return fmt.Errorf("-trace is required")
 	}
@@ -48,35 +49,35 @@ func run(path string, isize, dsize, block, assoc int, writeBack bool) error {
 		return err
 	}
 
-	var ic, dc *cache.Cache
+	var ic, dc *cache.Bank
 	if isize > 0 {
-		ic, err = cache.New(cache.Config{SizeKW: isize, BlockWords: block, Assoc: assoc, WriteBack: true})
+		ic, err = cache.NewBank([]cache.Config{{SizeKW: isize, BlockWords: block, Assoc: assoc, WriteBack: true}})
 		if err != nil {
 			return fmt.Errorf("icache: %w", err)
 		}
 	}
 	if dsize > 0 {
-		dc, err = cache.New(cache.Config{SizeKW: dsize, BlockWords: block, Assoc: assoc, WriteBack: writeBack})
+		dc, err = cache.NewBank([]cache.Config{{SizeKW: dsize, BlockWords: block, Assoc: assoc, WriteBack: writeBack}})
 		if err != nil {
 			return fmt.Errorf("dcache: %w", err)
 		}
 	}
 
-	st, err := trace.Replay(r, ic, dc)
+	st, err := trace.ReplayBank(r, ic, dc)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("references: %d (%d fetch, %d load, %d store)\n",
+	fmt.Fprintf(w, "references: %d (%d fetch, %d load, %d store)\n",
 		st.Refs, st.IFetches, st.Loads, st.Stores)
 	if ic != nil {
-		s := ic.Stats()
-		fmt.Printf("L1-I %s: %d misses / %d accesses = %.4f\n",
-			ic.Config(), s.Misses(), s.Accesses(), s.MissRatio())
+		s := ic.Stats(0)
+		fmt.Fprintf(w, "L1-I %s: %d misses / %d accesses = %.4f\n",
+			ic.Config(0), s.Misses(), s.Accesses(), s.MissRatio())
 	}
 	if dc != nil {
-		s := dc.Stats()
-		fmt.Printf("L1-D %s: %d misses / %d accesses = %.4f (writebacks %d, throughs %d)\n",
-			dc.Config(), s.Misses(), s.Accesses(), s.MissRatio(), s.Writebacks, s.Throughs)
+		s := dc.Stats(0)
+		fmt.Fprintf(w, "L1-D %s: %d misses / %d accesses = %.4f (writebacks %d, throughs %d)\n",
+			dc.Config(0), s.Misses(), s.Accesses(), s.MissRatio(), s.Writebacks, s.Throughs)
 	}
 	return nil
 }

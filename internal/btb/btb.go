@@ -117,7 +117,7 @@ func (b *BTB) Config() Config { return b.cfg }
 func (b *BTB) Stats() Stats { return b.stats }
 
 // Publish registers the buffer under prefix in reg and folds the current
-// statistics in as counter additions. Like cache.Cache, the plain Stats
+// statistics in as counter additions. Like cache.Bank, the plain Stats
 // struct is the hot path's shard; Publish merges it once per run.
 func (b *BTB) Publish(reg *obs.Registry, prefix string) {
 	s := b.stats

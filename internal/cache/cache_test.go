@@ -7,18 +7,20 @@ import (
 	"pipecache/internal/stats"
 )
 
-func mustNew(t *testing.T, cfg Config) *Cache {
+// one builds a single-configuration bank: the simulator's model of one
+// cache.
+func one(t *testing.T, cfg Config) *Bank {
 	t.Helper()
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return mustBank(t, []Config{cfg})
 }
 
-func dm(t *testing.T, sizeKW, block int) *Cache {
-	return mustNew(t, Config{SizeKW: sizeKW, BlockWords: block, Assoc: 1, WriteBack: true})
+func dm(t *testing.T, sizeKW, block int) *Bank {
+	return one(t, Config{SizeKW: sizeKW, BlockWords: block, Assoc: 1, WriteBack: true})
 }
+
+// hit probes one access of a single-configuration bank and reports
+// whether it hit.
+func hit(c *Bank, addr uint32, write bool) bool { return c.Access(addr, write) == 0 }
 
 func TestConfigValidate(t *testing.T) {
 	good := []Config{
@@ -60,18 +62,18 @@ func TestConfigString(t *testing.T) {
 
 func TestColdMissThenHit(t *testing.T) {
 	c := dm(t, 1, 4)
-	if r := c.Access(100, false); r.Hit {
+	if hit(c, 100, false) {
 		t.Fatal("cold access hit")
 	}
-	if r := c.Access(100, false); !r.Hit {
+	if !hit(c, 100, false) {
 		t.Fatal("second access missed")
 	}
 	// Same block, different word.
-	if r := c.Access(103, false); !r.Hit {
+	if !hit(c, 103, false) {
 		t.Fatal("same-block access missed")
 	}
 	// 100 is in block [100..103]; 104 is the next block.
-	if r := c.Access(104, false); r.Hit {
+	if hit(c, 104, false) {
 		t.Fatal("next-block access hit")
 	}
 }
@@ -82,78 +84,81 @@ func TestDirectMappedConflict(t *testing.T) {
 	c := dm(t, 1, 4)
 	c.Access(0, false)
 	c.Access(1024, false) // evicts block 0
-	if r := c.Access(0, false); r.Hit {
+	if hit(c, 0, false) {
 		t.Fatal("conflicting block survived")
 	}
 }
 
 func TestSetAssociativityAvoidsConflict(t *testing.T) {
-	c := mustNew(t, Config{SizeKW: 1, BlockWords: 4, Assoc: 2, WriteBack: true})
+	c := one(t, Config{SizeKW: 1, BlockWords: 4, Assoc: 2, WriteBack: true})
 	c.Access(0, false)
 	c.Access(2048, false) // same set, second way (128 sets * 4 words * ... )
-	if r := c.Access(0, false); !r.Hit {
+	if !hit(c, 0, false) {
 		t.Fatal("2-way cache evicted with one conflicting block")
 	}
 }
 
 func TestLRUReplacement(t *testing.T) {
-	c := mustNew(t, Config{SizeKW: 1, BlockWords: 4, Assoc: 2, WriteBack: true})
+	c := one(t, Config{SizeKW: 1, BlockWords: 4, Assoc: 2, WriteBack: true})
 	// Set stride = sets*block = 128*4 = 512 words.
 	a, b, d := uint32(0), uint32(512*4), uint32(512*8)
 	c.Access(a, false)
 	c.Access(b, false)
 	c.Access(a, false) // a most recent
 	c.Access(d, false) // evicts b (LRU)
-	if !c.Contains(a) {
+	// Probe the survivors first: each hit only reorders {a, d}.
+	if !hit(c, a, false) {
 		t.Fatal("recently used line evicted")
 	}
-	if c.Contains(b) {
-		t.Fatal("LRU line survived")
-	}
-	if !c.Contains(d) {
+	if !hit(c, d, false) {
 		t.Fatal("new line absent")
+	}
+	if hit(c, b, false) {
+		t.Fatal("LRU line survived")
 	}
 }
 
 func TestWriteBackDirtyEviction(t *testing.T) {
 	c := dm(t, 1, 4)
 	c.Access(0, true) // write-allocate, dirty
-	r := c.Access(1024, false)
-	if !r.Fill || !r.Writeback {
-		t.Fatalf("expected fill with writeback, got %+v", r)
+	if hit(c, 1024, false) {
+		t.Fatal("conflicting read hit")
 	}
-	if c.Stats().Writebacks != 1 {
-		t.Fatalf("writebacks = %d", c.Stats().Writebacks)
+	if st := c.Stats(0); st.Writebacks != 1 || st.ReadMisses != 1 {
+		t.Fatalf("expected a fill with one writeback, stats %+v", st)
 	}
 }
 
 func TestWriteBackCleanEviction(t *testing.T) {
 	c := dm(t, 1, 4)
 	c.Access(0, false) // clean
-	r := c.Access(1024, false)
-	if r.Writeback {
+	if hit(c, 1024, false) {
+		t.Fatal("conflicting read hit")
+	}
+	if c.Stats(0).Writebacks != 0 {
 		t.Fatal("clean eviction reported writeback")
 	}
 }
 
 func TestWriteThroughNoAllocate(t *testing.T) {
-	c := mustNew(t, Config{SizeKW: 1, BlockWords: 4, Assoc: 1, WriteBack: false})
-	r := c.Access(0, true)
-	if r.Hit || r.Fill {
-		t.Fatalf("write-through write miss should not allocate: %+v", r)
+	c := one(t, Config{SizeKW: 1, BlockWords: 4, Assoc: 1, WriteBack: false})
+	if hit(c, 0, true) {
+		t.Fatal("cold write hit")
 	}
-	if c.Contains(0) {
-		t.Fatal("no-write-allocate cache filled on write miss")
-	}
-	st := c.Stats()
+	st := c.Stats(0)
 	if st.Throughs != 1 || st.WriteMisses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
+	// The write miss did not allocate, so the read misses and fills.
+	if hit(c, 0, false) {
+		t.Fatal("no-write-allocate cache filled on write miss")
+	}
 	// Write hit also forwards through.
-	c.Access(0, false)
-	c.Access(0, true)
-	if c.Stats().Throughs != 2 {
-		t.Fatalf("write hit not forwarded: %+v", c.Stats())
+	if !hit(c, 0, true) {
+		t.Fatal("write after fill missed")
+	}
+	if c.Stats(0).Throughs != 2 {
+		t.Fatalf("write hit not forwarded: %+v", c.Stats(0))
 	}
 }
 
@@ -163,7 +168,7 @@ func TestStatsCounting(t *testing.T) {
 	c.Access(0, false) // read hit
 	c.Access(64, true) // write miss
 	c.Access(64, true) // write hit
-	st := c.Stats()
+	st := c.Stats(0)
 	if st.Reads != 2 || st.Writes != 2 || st.ReadMisses != 1 || st.WriteMisses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -174,10 +179,10 @@ func TestStatsCounting(t *testing.T) {
 		t.Fatalf("miss ratio %g", st.MissRatio())
 	}
 	c.ResetStats()
-	if c.Stats().Accesses() != 0 {
+	if c.Stats(0).Accesses() != 0 {
 		t.Fatal("ResetStats did not clear")
 	}
-	if !c.Contains(0) {
+	if !hit(c, 0, false) {
 		t.Fatal("ResetStats flushed contents")
 	}
 }
@@ -194,11 +199,11 @@ func TestFlush(t *testing.T) {
 	c.Access(0, true) // dirty line
 	c.Access(64, false)
 	c.Flush()
-	if c.Contains(0) || c.Contains(64) {
-		t.Fatal("flush left lines valid")
+	if c.Stats(0).Writebacks != 1 {
+		t.Fatalf("flush writebacks = %d", c.Stats(0).Writebacks)
 	}
-	if c.Stats().Writebacks != 1 {
-		t.Fatalf("flush writebacks = %d", c.Stats().Writebacks)
+	if hit(c, 0, false) || hit(c, 64, false) {
+		t.Fatal("flush left lines valid")
 	}
 }
 
@@ -212,7 +217,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 			c.Access(uint32(a), false)
 		}
 	}
-	st := c.Stats()
+	st := c.Stats(0)
 	if got, want := st.Misses(), uint64(words/4); got != want {
 		t.Fatalf("misses = %d, want %d (cold only)", got, want)
 	}
@@ -232,8 +237,8 @@ func TestLargerCacheNeverWorseOnScan(t *testing.T) {
 		small.Access(a, false)
 		big.Access(a, false)
 	}
-	if big.Stats().Misses() > small.Stats().Misses() {
-		t.Fatalf("bigger cache missed more: %d vs %d", big.Stats().Misses(), small.Stats().Misses())
+	if big.Stats(0).Misses() > small.Stats(0).Misses() {
+		t.Fatalf("bigger cache missed more: %d vs %d", big.Stats(0).Misses(), small.Stats(0).Misses())
 	}
 }
 
@@ -242,15 +247,15 @@ func TestHigherAssocInclusionProperty(t *testing.T) {
 	// superset of the lines (the classic LRU inclusion property), so it
 	// never misses more on any trace.
 	f := func(seed uint64) bool {
-		a1, _ := New(Config{SizeKW: 1, BlockWords: 4, Assoc: 1, WriteBack: true})
-		a2, _ := New(Config{SizeKW: 2, BlockWords: 4, Assoc: 2, WriteBack: true}) // same 256 sets
+		a1 := mustBankQuick(Config{SizeKW: 1, BlockWords: 4, Assoc: 1, WriteBack: true})
+		a2 := mustBankQuick(Config{SizeKW: 2, BlockWords: 4, Assoc: 2, WriteBack: true}) // same 256 sets
 		r := stats.NewRNG(seed)
 		for i := 0; i < 5000; i++ {
 			addr := uint32(r.Intn(8192))
 			a1.Access(addr, false)
 			a2.Access(addr, false)
 		}
-		return a2.Stats().Misses() <= a1.Stats().Misses()
+		return a2.Stats(0).Misses() <= a1.Stats(0).Misses()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -259,8 +264,8 @@ func TestHigherAssocInclusionProperty(t *testing.T) {
 
 func TestAccessDeterministic(t *testing.T) {
 	f := func(seed uint64) bool {
-		c1 := mustNewQuick(Config{SizeKW: 2, BlockWords: 8, Assoc: 2, WriteBack: true})
-		c2 := mustNewQuick(Config{SizeKW: 2, BlockWords: 8, Assoc: 2, WriteBack: true})
+		c1 := mustBankQuick(Config{SizeKW: 2, BlockWords: 8, Assoc: 2, WriteBack: true})
+		c2 := mustBankQuick(Config{SizeKW: 2, BlockWords: 8, Assoc: 2, WriteBack: true})
 		r1 := stats.NewRNG(seed)
 		r2 := stats.NewRNG(seed)
 		for i := 0; i < 2000; i++ {
@@ -272,15 +277,15 @@ func TestAccessDeterministic(t *testing.T) {
 				return false
 			}
 		}
-		return c1.Stats() == c2.Stats()
+		return c1.Stats(0) == c2.Stats(0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func mustNewQuick(cfg Config) *Cache {
-	c, err := New(cfg)
+func mustBankQuick(cfg Config) *Bank {
+	c, err := NewBank([]Config{cfg})
 	if err != nil {
 		panic(err)
 	}

@@ -98,7 +98,7 @@ func (s *Sim) ReplayContext(ctx context.Context, instsPerBench int64, tr *trace.
 			} else if q > remaining[i] {
 				q = remaining[i]
 			}
-			ran := cursors[i].Turn(q, s.evbuf, b.sink)
+			ran := cursors[i].Turn(q, b.sink)
 			if ran == 0 {
 				return nil, fmt.Errorf("cpisim: trace %q exhausted for %s with %d instructions remaining",
 					tr.Key(), b.prog.Name, remaining[i])

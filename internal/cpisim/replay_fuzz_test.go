@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pipecache/internal/cache"
-	"pipecache/internal/interp"
 	"pipecache/internal/obs"
 	"pipecache/internal/trace"
 )
@@ -38,7 +37,6 @@ type chunkColumns struct {
 	bs    [][]uint32
 }
 
-func (c *chunkColumns) Events([]interp.Event) { panic("columnar delivery expected") }
 func (c *chunkColumns) EventColumns(kinds []uint8, as, bs []uint32) {
 	c.kinds = append(c.kinds, kinds)
 	c.as = append(c.as, as)
@@ -49,7 +47,7 @@ func traceColumns(tr *trace.EventTrace) []chunkColumns {
 	out := make([]chunkColumns, tr.Len())
 	for i := range out {
 		cur := tr.Cursor(i)
-		cur.Turn(math.MaxInt64, nil, &out[i])
+		cur.Turn(math.MaxInt64, &out[i])
 	}
 	return out
 }

@@ -49,7 +49,7 @@ func (c *Collector) Block(b *program.Block) {
 }
 
 // Mem implements Handler.
-func (c *Collector) Mem(b *program.Block, idx int, addr uint32, isStore bool) {
+func (c *Collector) Mem(b *program.Block, addr uint32, isStore bool) {
 	if isStore {
 		c.Stores++
 	} else {

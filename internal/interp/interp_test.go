@@ -21,7 +21,7 @@ type eventLog struct {
 }
 
 func (l *eventLog) Block(b *program.Block) { l.blocks = append(l.blocks, b.ID) }
-func (l *eventLog) Mem(b *program.Block, idx int, addr uint32, isStore bool) {
+func (l *eventLog) Mem(b *program.Block, addr uint32, isStore bool) {
 	l.memAddrs = append(l.memAddrs, addr)
 	l.stores = append(l.stores, isStore)
 }

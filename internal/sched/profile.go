@@ -37,9 +37,9 @@ type profileCollector struct {
 	prof *Profile
 }
 
-func (c *profileCollector) Block(b *program.Block)                              {}
-func (c *profileCollector) Mem(b *program.Block, idx int, a uint32, store bool) {}
-func (c *profileCollector) LoadUse(eps, epsBlock int)                           {}
+func (c *profileCollector) Block(b *program.Block)                     {}
+func (c *profileCollector) Mem(b *program.Block, a uint32, store bool) {}
+func (c *profileCollector) LoadUse(eps, epsBlock int)                  {}
 func (c *profileCollector) CTI(b *program.Block, taken bool) {
 	c.prof.Executions[b.ID]++
 	if taken {

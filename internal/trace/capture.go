@@ -39,7 +39,7 @@ func (c *Capture) Block(b *program.Block) {
 }
 
 // Mem implements interp.Handler.
-func (c *Capture) Mem(b *program.Block, idx int, addr uint32, isStore bool) {
+func (c *Capture) Mem(b *program.Block, addr uint32, isStore bool) {
 	k := Load
 	if isStore {
 		k = Store

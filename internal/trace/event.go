@@ -28,8 +28,7 @@ import (
 // drawn from a package-level pool: 9 bytes per event for the columns (vs
 // the 12 of a padded []interp.Event) plus a block-boundary index, no large
 // contiguous allocations, and chunk reuse across capture/evict cycles.
-// Replay hands zero-copy column sub-slices to sinks implementing
-// interp.ColumnSink.
+// Replay hands zero-copy column sub-slices to an interp.ColumnSink.
 
 // chunkEvents is the capacity of one columnar chunk (16Ki events ≈ 150 KB
 // with the block index).
@@ -220,17 +219,10 @@ func (c *Cursor) Done() bool {
 // at or past the target). It returns the number of instructions replayed,
 // zero once the stream is exhausted.
 //
-// Batches go through sink.EventColumns as zero-copy column sub-slices when
-// the sink implements interp.ColumnSink; otherwise they are materialized
-// into buf (allocated internally when too small) and delivered through
-// sink.Events. Batch boundaries differ from the live run's — sinks must be
-// batch-boundary agnostic, which interp.EventSink already requires.
-func (c *Cursor) Turn(target int64, buf []interp.Event, sink interp.EventSink) int64 {
-	cs, columnar := sink.(interp.ColumnSink)
-	if !columnar && cap(buf) < 64 {
-		buf = make([]interp.Event, 0, 4096)
-	}
-	evs := buf[:0]
+// Batches go to sink as zero-copy sub-slices of the chunk columns. Batch
+// boundaries differ from the live run's — sinks must be batch-boundary
+// agnostic, which interp.EventSink already requires.
+func (c *Cursor) Turn(target int64, sink interp.ColumnSink) int64 {
 	var ran int64
 	for c.ci < len(c.be.chunks) {
 		ch := c.be.chunks[c.ci]
@@ -241,11 +233,7 @@ func (c *Cursor) Turn(target int64, buf []interp.Event, sink interp.EventSink) i
 			// boundary inside it would be checked with ran < target
 			// (blocks execute at least one instruction), so the chunk can
 			// be delivered wholesale without scanning block boundaries.
-			if columnar {
-				cs.EventColumns(kinds, ch.a, ch.b)
-			} else {
-				evs = materialize(evs, ch, 0, len(kinds), sink)
-			}
+			sink.EventColumns(kinds, ch.a, ch.b)
 			ran += ch.insts
 			c.ci++
 			continue
@@ -257,48 +245,21 @@ func (c *Cursor) Turn(target int64, buf []interp.Event, sink interp.EventSink) i
 			if ran >= target {
 				// Deliver everything up to (not including) the block that
 				// would overshoot, and park the cursor on it.
-				if columnar {
-					if i > start {
-						cs.EventColumns(kinds[start:i], ch.a[start:i], ch.b[start:i])
-					}
-				} else {
-					evs = materialize(evs, ch, start, i, sink)
-					if len(evs) > 0 {
-						sink.Events(evs)
-					}
+				if i > start {
+					sink.EventColumns(kinds[start:i], ch.a[start:i], ch.b[start:i])
 				}
 				c.off = i
 				return ran
 			}
 			ran += int64(ch.b[i])
 		}
-		if columnar {
-			if len(kinds) > start {
-				cs.EventColumns(kinds[start:], ch.a[start:], ch.b[start:])
-			}
-		} else {
-			evs = materialize(evs, ch, start, len(kinds), sink)
+		if len(kinds) > start {
+			sink.EventColumns(kinds[start:], ch.a[start:], ch.b[start:])
 		}
 		c.ci++
 		c.off = 0
 	}
-	if !columnar && len(evs) > 0 {
-		sink.Events(evs)
-	}
 	return ran
-}
-
-// materialize copies chunk columns [lo,hi) into evs, flushing to sink
-// whenever the buffer fills, and returns the (possibly flushed) buffer.
-func materialize(evs []interp.Event, ch *chunk, lo, hi int, sink interp.EventSink) []interp.Event {
-	for i := lo; i < hi; i++ {
-		if len(evs) == cap(evs) {
-			sink.Events(evs)
-			evs = evs[:0]
-		}
-		evs = append(evs, interp.Event{Kind: interp.EventKind(ch.kind[i]), A: ch.a[i], B: ch.b[i]})
-	}
-	return evs
 }
 
 // Validate checks that the trace can replay a pass over the given

@@ -37,15 +37,9 @@ func synthTrace(evs []interp.Event, batchSize int, insts int64) *EventTrace {
 	return (&EventTrace{key: "k", instsPerBench: insts, benches: []*BenchEvents{be}}).seal()
 }
 
-// collectSink gathers replayed events through the plain Events interface.
-type collectSink struct{ evs []interp.Event }
-
-func (c *collectSink) Events(e []interp.Event) { c.evs = append(c.evs, e...) }
-
-// columnSink gathers replayed events through the zero-copy column path.
+// columnSink gathers replayed events from the zero-copy column batches.
 type columnSink struct{ evs []interp.Event }
 
-func (c *columnSink) Events(e []interp.Event) { c.evs = append(c.evs, e...) }
 func (c *columnSink) EventColumns(kind []uint8, a, b []uint32) {
 	for i := range kind {
 		c.evs = append(c.evs, interp.Event{Kind: interp.EventKind(kind[i]), A: a[i], B: b[i]})
@@ -62,53 +56,42 @@ func TestCursorTurnMatchesRunEventsRule(t *testing.T) {
 	tr := synthTrace(evs, 4096, blocks*per)
 	defer tr.Release()
 
-	for _, sinkName := range []string{"plain", "columnar"} {
-		for _, target := range []int64{1, 2, 3, 7, 100, 12_345} {
-			// Reference: walk evs directly with the RunEvents stop rule.
-			ref := func(pos *int, target int64) (int64, []interp.Event) {
-				var ran int64
-				start := *pos
-				for i := start; i < len(evs); i++ {
-					if evs[i].Kind == interp.EvBlock {
-						if ran >= target {
-							*pos = i
-							return ran, evs[start:i]
-						}
-						ran += int64(evs[i].B)
+	for _, target := range []int64{1, 2, 3, 7, 100, 12_345} {
+		// Reference: walk evs directly with the RunEvents stop rule.
+		ref := func(pos *int, target int64) (int64, []interp.Event) {
+			var ran int64
+			start := *pos
+			for i := start; i < len(evs); i++ {
+				if evs[i].Kind == interp.EvBlock {
+					if ran >= target {
+						*pos = i
+						return ran, evs[start:i]
 					}
+					ran += int64(evs[i].B)
 				}
-				*pos = len(evs)
-				return ran, evs[start:]
 			}
+			*pos = len(evs)
+			return ran, evs[start:]
+		}
 
-			cur := tr.Cursor(0)
-			var sink interp.EventSink
-			var got *[]interp.Event
-			if sinkName == "plain" {
-				cs := &collectSink{}
-				sink, got = cs, &cs.evs
-			} else {
-				cs := &columnSink{}
-				sink, got = cs, &cs.evs
+		cur := tr.Cursor(0)
+		sink := &columnSink{}
+		pos := 0
+		for turn := 0; ; turn++ {
+			wantRan, wantEvs := ref(&pos, target)
+			sink.evs = sink.evs[:0]
+			ran := cur.Turn(target, sink)
+			if ran != wantRan {
+				t.Fatalf("target %d turn %d: ran %d, want %d", target, turn, ran, wantRan)
 			}
-			pos := 0
-			buf := make([]interp.Event, 0, 256)
-			for turn := 0; ; turn++ {
-				wantRan, wantEvs := ref(&pos, target)
-				*got = (*got)[:0]
-				ran := cur.Turn(target, buf, sink)
-				if ran != wantRan {
-					t.Fatalf("%s target %d turn %d: ran %d, want %d", sinkName, target, turn, ran, wantRan)
+			if !reflect.DeepEqual(append([]interp.Event{}, sink.evs...), append([]interp.Event{}, wantEvs...)) {
+				t.Fatalf("target %d turn %d: delivered events diverge", target, turn)
+			}
+			if ran == 0 {
+				if !cur.Done() {
+					t.Fatal("ran 0 but cursor not done")
 				}
-				if !reflect.DeepEqual(append([]interp.Event{}, *got...), append([]interp.Event{}, wantEvs...)) {
-					t.Fatalf("%s target %d turn %d: delivered events diverge", sinkName, target, turn)
-				}
-				if ran == 0 {
-					if !cur.Done() {
-						t.Fatalf("%s: ran 0 but cursor not done", sinkName)
-					}
-					break
-				}
+				break
 			}
 		}
 	}

@@ -14,7 +14,8 @@
 //   - the delayed-branch post-processor with optional squashing and its
 //     translation tables (Translate);
 //   - a 256-entry branch-target buffer (NewBTB);
-//   - set-associative instruction/data cache models (NewCache);
+//   - set-associative instruction/data cache models, one configuration
+//     or a fused ladder per bank (NewCacheBank);
 //   - the GaAs SRAM + MCM access-time macro-model and a latch-level
 //     minimum-cycle-time analyzer — the paper's minTcpu (TimingModel);
 //   - the Section 5 TPI = CPI x tCPU design-space optimization and every
@@ -107,16 +108,11 @@ type (
 	// CacheConfig describes one cache (size in K-words, block size in
 	// words, associativity, write policy).
 	CacheConfig = cache.Config
-	// Cache is a set-associative cache model with LRU replacement.
-	Cache = cache.Cache
-	// CacheBank is a fused bank of cache configurations: one probe
-	// evaluates every configuration and returns a miss bitmask. The CPI
-	// simulator runs its multi-configuration banks on this kernel.
+	// CacheBank is the cache model: a fused bank of cache configurations
+	// where one probe evaluates every configuration and returns a miss
+	// bitmask. A single cache is a one-configuration bank.
 	CacheBank = cache.Bank
 )
-
-// NewCache builds a cache.
-func NewCache(cfg CacheConfig) (*Cache, error) { return cache.New(cfg) }
 
 // NewCacheBank fuses up to 64 cache configurations into one single-pass
 // bank.
