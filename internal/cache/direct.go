@@ -22,10 +22,11 @@ import "pipecache/internal/mempool"
 //
 // Taking a view transfers probing ownership: the bank's own table no
 // longer reflects accesses, so do not mix Direct probes with Bank.Access
-// calls (counter reads through Bank.Stats remain valid). The caller also
-// owns the bank-level access counters: Reads/Writes are not advanced per
-// probe — fold the batch totals in through AddAccesses before reading
-// Stats. Release returns the private table to its pool.
+// calls (counter reads through Bank.Stats remain valid) until Detach
+// hands the state back. The caller also owns the bank-level access
+// counters: Reads/Writes are not advanced per probe — fold the batch
+// totals in through AddAccesses before reading Stats. Release returns the
+// private table to its pool.
 type Direct struct {
 	table     []uint32
 	st        *Stats
@@ -77,6 +78,25 @@ func (b *Bank) Direct() *Direct {
 	}
 	b.memoOK = false
 	return d
+}
+
+// Detach writes the view's line state back into the bank's packed table
+// and releases the view, handing probing ownership back to the bank:
+// Bank.Access (or a new view) then continues from exactly the state the
+// view left. Fold the view's access counts in (AddAccesses) first.
+func (d *Direct) Detach() {
+	g := d.b.packed[0]
+	for s, ce := range d.table {
+		var e uint64
+		if ce&directValid != 0 {
+			e = uint64(ce>>directTagShift)<<32 | 1
+			if ce&directDirty != 0 {
+				e |= 1 << 16
+			}
+		}
+		g.table[s] = e
+	}
+	d.Release()
 }
 
 // Release returns the view's private table to its pool. The view must
